@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import CorrformsError, InputFormatError
-from .field import QQ
+from .field import MAX_PRIME_MODULUS, QQ
 from .geometry import conductor, divisor_of_form, mobius_conjugate
 from .invariance import (
     Correspondence,
@@ -106,6 +106,10 @@ def cmd_detect(args):
 def cmd_sweep(args):
     if args.pmin > args.pmax:
         raise InputFormatError(f"--pmin {args.pmin} exceeds --pmax {args.pmax}")
+    if args.pmax >= MAX_PRIME_MODULUS:
+        raise InputFormatError(f"--pmax {args.pmax} must be below 2**31")
+    if args.jobs < 1:
+        raise InputFormatError(f"--jobs must be a positive integer (got {args.jobs})")
     doc = _load_document(args.file)
     report = sweep(doc.corr, args.pmin, args.pmax, jobs=args.jobs)
     for entry in report.entries:

@@ -4,6 +4,13 @@ A "field tag" is an object (the QQ singleton or a PrimeField instance) that
 every polynomial, rational function, form and divisor carries.  Scalars of
 different tags never combine: F_p elements of different moduli, or an F_p
 element with a Fraction, raise FieldMismatch.
+
+Storage contract.  Inside polynomials a coefficient is stored in its raw
+form: a Fraction over Q, a plain int residue in [0, p) over F_p.  The tag's
+``raw`` hook turns any accepted scalar into that form and ``wrap`` turns a
+raw value back into the public scalar.  FpElement is that public scalar for
+F_p and appears only at the API boundary (leading coefficients, evaluation,
+solver results); over Q the raw form already is the public one.
 """
 
 from __future__ import annotations
@@ -174,14 +181,18 @@ class RationalField:
             return parse_rational(value)
         raise FieldMismatch(f"cannot interpret {type(value).__name__} as a rational")
 
+    # a Fraction is both the raw and the public form: raw leaves it unchanged
+    raw = scalar
+
+    @staticmethod
+    def wrap(r):
+        return r
+
     def zero(self):
         return Fraction(0)
 
     def one(self):
         return Fraction(1)
-
-    def sort_key(self, x):
-        return x
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -204,35 +215,36 @@ class PrimeField:
             raise ValueError(f"modulus {p!r} is not prime")
         if p >= MAX_PRIME_MODULUS:
             raise ValueError(f"modulus {p} exceeds the 2**31 cap")
-        self.p = p
+        self.p = self.characteristic = p
 
-    @property
-    def characteristic(self):
-        return self.p
+    def raw(self, value):
+        """The residue in [0, p) of an int, rational literal, Fraction or FpElement."""
+        p = self.p
+        if isinstance(value, int):
+            return value % p
+        if isinstance(value, FpElement):
+            if value.p != p:
+                raise FieldMismatch(f"cannot mix F_{p} and F_{value.p}")
+            return value.residue
+        if isinstance(value, str):
+            value = parse_rational(value)
+        if isinstance(value, Fraction):
+            return _fraction_residue(value, p)
+        raise FieldMismatch(
+            f"cannot interpret {type(value).__name__} as an F_{p} element"
+        )
+
+    def wrap(self, r):
+        return FpElement(r, self.p)
 
     def scalar(self, value):
-        if isinstance(value, FpElement):
-            if value.p != self.p:
-                raise FieldMismatch(f"cannot mix F_{self.p} and F_{value.p}")
-            return value
-        if isinstance(value, int):
-            return FpElement(value, self.p)
-        if isinstance(value, str):
-            return reduce_mod(parse_rational(value), self)
-        if isinstance(value, Fraction):
-            return reduce_mod(value, self)
-        raise FieldMismatch(
-            f"cannot interpret {type(value).__name__} as an F_{self.p} element"
-        )
+        return self.wrap(self.raw(value))
 
     def zero(self):
         return FpElement(0, self.p)
 
     def one(self):
         return FpElement(1, self.p)
-
-    def sort_key(self, x):
-        return x.residue
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -250,13 +262,15 @@ def GF(p):
     return PrimeField(p)
 
 
-def reduce_mod(x, field):
-    """Reduce a rational m/n into F_p; requires p to not divide n."""
-    x = Fraction(x)
-    p = field.p
+def _fraction_residue(x, p):
     if x.denominator % p == 0:
         raise NotPLocalUnit(f"denominator of {x} is divisible by {p}")
-    return FpElement(x.numerator * pow(x.denominator, -1, p), p)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def reduce_mod(x, field):
+    """Reduce a rational m/n into F_p; requires p to not divide n."""
+    return field.wrap(_fraction_residue(Fraction(x), field.p))
 
 
 def reduce_unit_mod_p(x, p):

@@ -245,18 +245,6 @@ class Divisor:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, Divisor):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.affine == other.affine
-            and self.at_infinity == other.at_infinity
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.affine, self.at_infinity))
-
     @property
     def is_zero(self):
         return not self.affine and self.at_infinity == 0

@@ -4,16 +4,89 @@ Coefficients are stored ascending with trailing zeros stripped; the zero
 polynomial has degree NEG_INFINITY.  No irreducible factorization exists
 anywhere in this package: closed points are represented by monic squarefree
 polynomials, and Yun's algorithm supplies the squarefree decomposition.
+
+Storage contract: ``coeffs`` holds the field's raw values (see field.py),
+Fractions over Q and plain int residues in [0, p) over F_p.  The F_p kernels
+compute on those ints with ``% p`` and multiply by Kronecker substitution;
+the Q kernels are Fraction loops.  The public scalar FpElement appears only
+where a value leaves a polynomial: ``leading``, ``coefficient`` and
+evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, WildInput
 
 NEG_INFINITY = float("-inf")
+
+
+# array typecode of each machine integer width in bytes (1, 2, 4 and 8)
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _pack(cs, width, code):
+    if code:
+        data = array(code, cs).tobytes()
+    else:
+        data = b"".join(c.to_bytes(width, sys.byteorder) for c in cs)
+    return int.from_bytes(data, sys.byteorder)
+
+
+def _slots(data, width, code):
+    if code:
+        return memoryview(data).cast(code)
+    return (int.from_bytes(data[i : i + width], sys.byteorder) for i in range(0, len(data), width))
+
+
+def _kronecker_mul(a, b, p):
+    """Product of residue sequences mod p by one integer multiplication.
+
+    Each operand becomes an integer with one byte-aligned slot per coefficient.
+    A product coefficient is a sum of at most min(len(a), len(b)) terms below
+    p**2, so slots wide enough for min(len)*(p-1)**2 never carry into each
+    other (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).  Slots
+    are a power of two bytes wide, so up to 8 bytes they are machine
+    integers that array and memoryview convert without a Python loop.
+    """
+    bits = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    width = 1
+    while 8 * width < bits:
+        width *= 2
+    code = _TYPECODES.get(width)
+    x = _pack(a, width, code)
+    y = x if b is a else _pack(b, width, code)
+    data = (x * y).to_bytes((len(a) + len(b) - 1) * width, sys.byteorder)
+    return [c % p for c in _slots(data, width, code)]
+
+
+def _divmod_fp(a, b, p):
+    """Schoolbook division of residue tuples mod p, with len(a) >= len(b).
+
+    A two-term quotient, the usual Euclid step, is read off the top
+    coefficients and the remainder is built in one pass.  Otherwise the
+    remainder is reduced only where a quotient coefficient is read off and
+    once at the end; in between its entries may leave [0, p).
+    """
+    dv = len(b) - 1
+    n = len(a) - dv
+    inv = pow(b[-1], -1, p)
+    if n == 2 and dv:
+        hi = a[-1] * inv % p
+        lo = (a[-2] - hi * b[-2]) * inv % p
+        return [lo, hi], [(x - lo * y - hi * z) % p for x, y, z in zip(a[:dv], b, (0,) + b)]
+    rem = list(a)
+    quot = [0] * n
+    for k in range(n - 1, -1, -1):
+        c = rem[k + dv] * inv % p
+        if c:
+            quot[k] = c
+            rem[k : k + dv] = [r - c * bj for r, bj in zip(rem[k : k + dv], b)]
+    return quot, [r % p for r in rem[:dv]]
 
 
 class Polynomial:
@@ -22,7 +95,8 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        cs = [field.scalar(c) for c in coeffs]
+        raw = field.raw
+        cs = [raw(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
@@ -30,7 +104,7 @@ class Polynomial:
 
     @classmethod
     def _make(cls, field, coeffs):
-        # trusted scalars, only strips
+        # trusted raw values, only strips
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self = object.__new__(cls)
@@ -44,7 +118,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, field):
-        return cls._make(field, [field.one()])
+        return cls._make(field, [field.raw(1)])
 
     @classmethod
     def constant(cls, field, c):
@@ -52,7 +126,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, field):
-        return cls._make(field, [field.zero(), field.one()])
+        return cls._make(field, [field.raw(0), field.raw(1)])
 
     @property
     def degree(self):
@@ -66,13 +140,24 @@ class Polynomial:
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field.wrap(self.coeffs[-1])
 
     def coefficient(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero()
+        if 0 <= i < len(self.coeffs):
+            return self.field.wrap(self.coeffs[i])
+        return self.field.zero()
+
+    def _reduced(self, coeffs):
+        """A polynomial over self.field from integer combinations of raw values."""
+        p = self.field.characteristic
+        return Polynomial._make(self.field, [c % p for c in coeffs] if p else coeffs)
+
+    def _scaled(self, c):
+        """self times the raw scalar c."""
+        return self._reduced([a * c for a in self.coeffs])
 
     def _check(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"cannot mix {self.field!r} and {other.field!r}")
 
     def __bool__(self):
@@ -87,7 +172,7 @@ class Polynomial:
         return hash((self.field, self.coeffs))
 
     def __neg__(self):
-        return Polynomial._make(self.field, [-c for c in self.coeffs])
+        return self._reduced([-c for c in self.coeffs])
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -99,7 +184,7 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Polynomial._make(self.field, out)
+        return self._reduced(out)
 
     __radd__ = __add__
 
@@ -113,11 +198,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = self.field.scalar(other)
-            return Polynomial._make(self.field, [a * c for a in self.coeffs])
+            return self._scaled(self.field.raw(other))
         self._check(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.field)
+        p = self.field.characteristic
+        if p:
+            return Polynomial._make(self.field, _kronecker_mul(self.coeffs, other.coeffs, p))
         out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -146,10 +233,14 @@ class Polynomial:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        if len(self.coeffs) < len(other.coeffs):
+            return Polynomial.zero(self.field), self
+        p = self.field.characteristic
+        if p:
+            quot, rem = _divmod_fp(self.coeffs, other.coeffs, p)
+            return Polynomial._make(self.field, quot), Polynomial._make(self.field, rem)
         rem = list(self.coeffs)
         dd, dv = len(rem) - 1, other.degree
-        if dd < dv:
-            return Polynomial.zero(self.field), self
         inv_lead = self.field.one() / other.leading
         quot = [self.field.zero()] * (dd - dv + 1)
         for k in range(dd - dv, -1, -1):
@@ -167,11 +258,17 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __call__(self, x):
-        x = self.field.scalar(x)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        field = self.field
+        x = field.raw(x)
+        acc = field.raw(0)
+        p = field.characteristic
+        if p:
+            for c in reversed(self.coeffs):
+                acc = (acc * x + c) % p
+        else:
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+        return field.wrap(acc)
 
     def compose(self, inner):
         """self(inner) for a polynomial inner."""
@@ -183,27 +280,27 @@ class Polynomial:
 
     def derivative(self):
         # in characteristic p the i*c factor reduces mod p, so t^p |-> 0
-        return Polynomial._make(
-            self.field, [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
+        return self._reduced([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def hasse_derivative(self, j):
         """j-th Hasse derivative: coefficient of (t-x)^j in the Taylor expansion."""
         if j < 0:
             raise ValueError("Hasse derivative order must be nonnegative")
-        out = [
-            math.comb(i, j) * self.coeffs[i] for i in range(j, len(self.coeffs))
-        ]
-        return Polynomial._make(self.field, out)
+        return self._reduced(
+            [math.comb(i, j) * self.coeffs[i] for i in range(j, len(self.coeffs))]
+        )
 
     def monic(self):
         if self.is_zero:
             raise ValueError("the zero polynomial cannot be made monic")
-        inv = self.field.one() / self.leading
-        return Polynomial._make(self.field, [c * inv for c in self.coeffs])
+        lead = self.coeffs[-1]
+        if lead == 1:
+            return self
+        p = self.field.characteristic
+        return self._scaled(pow(lead, -1, p) if p else 1 / lead)
 
     def sort_key(self):
-        return (len(self.coeffs), tuple(self.field.sort_key(c) for c in self.coeffs))
+        return (len(self.coeffs), self.coeffs)
 
     def __str__(self):
         if self.is_zero:

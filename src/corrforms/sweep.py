@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import CorrformsError, NotPLocalUnit, UnsupportedCharacteristic
-from .field import GF, QQ, is_prime, reduce_mod
+from .field import GF, QQ, is_prime
 from .geometry import RationalMap, is_tame
 from .invariance import Correspondence, _solver_inputs, find_primitive
 from .poly import Polynomial, gcd_monic, squarefree_decompose
@@ -27,15 +27,12 @@ def primes_in_range(lo, hi):
     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 
-def _reduce_poly(poly, field):
-    return Polynomial(field, [reduce_mod(c, field) for c in poly.coeffs])
-
-
 def reduce_map_mod_p(sigma, field):
     """Reduce one map mod p; returns a RationalMap or a skip-reason string."""
     try:
-        num = _reduce_poly(sigma.body.num, field)
-        den = _reduce_poly(sigma.body.den, field)
+        # the field's raw hook reduces each Fraction straight to a residue
+        num = Polynomial(field, sigma.body.num.coeffs)
+        den = Polynomial(field, sigma.body.den.coeffs)
     except NotPLocalUnit:
         return f"a coefficient denominator is divisible by {field.p}"
     if num.degree != sigma.body.num.degree or den.degree != sigma.body.den.degree:
@@ -67,9 +64,11 @@ def reduce_mod_p(corr, p):
     return Correspondence(reduced[0], reduced[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepEntry:
-    """Per-prime outcome; guard records whether 2*d1*d2 < p."""
+    """Per-prime outcome; guard records whether 2*d1*d2 < p.
+
+    Slotted: a report keeps one entry per prime of the range."""
 
     p: int
     guard: bool

@@ -174,6 +174,21 @@ def test_sweep_bad_range(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("--pmin", "2", "--pmax", "10", "--jobs", "0"),
+        ("--pmin", "2", "--pmax", "10", "--jobs", "-3"),
+        ("--pmin", "2147483640", "--pmax", "2147483700"),
+    ],
+)
+def test_sweep_rejects_bad_jobs_and_prime_cap(tmp_path, capsys, bad):
+    path = write_doc(tmp_path, "doc.json", CUBIC_PAIR)
+    code, out, err = run_cli(capsys, "sweep", path, *bad)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
 def test_sweep_all_trivial_is_exit_zero(tmp_path, capsys):
     # absence of forms at every prime is a valid answer, not an error
     doc = {"sigma1": ["0", "1", "0", "1"], "sigma2": ["0", "1"]}
