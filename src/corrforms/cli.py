@@ -13,9 +13,9 @@ import json
 import os
 import sys
 
-from .errors import CorrformsError, InputFormatError
+from .errors import CorrformsError, InputFormatError, NormalizationRequired
 from .field import MAX_PRIME_MODULUS, QQ
-from .geometry import conductor, divisor_of_form, mobius_conjugate
+from .geometry import divisor_of_form, mobius_conjugate
 from .invariance import (
     Correspondence,
     find_primitive,
@@ -27,9 +27,10 @@ from .serialize import (
     decomposition_to_json,
     divisor_to_json,
     document_from_json,
-    form_to_json,
+    form_from_json,
     group_report_to_json,
     map_to_json,
+    poly_from_json,
     scalar_str,
     sweep_entry_to_json,
     sweep_summary_to_json,
@@ -41,15 +42,18 @@ def _emit(obj):
     print(json.dumps(obj))
 
 
-def _load_document(path):
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: invalid JSON ({exc})") from None
-    doc = document_from_json(obj)
+
+
+def _load_document(path):
+    doc = document_from_json(_read_json(path))
     if doc.mobius is not None:
         doc.corr = Correspondence(
             mobius_conjugate(doc.corr.sigma1, doc.mobius),
@@ -62,17 +66,17 @@ def cmd_check(args):
     doc = _load_document(args.file)
     omega = doc.omega
     if args.omega:
-        other = _load_document_form(args.omega, doc.field)
-        omega = other
+        omega = form_from_json(doc.field, _read_json(args.omega), "omega")
     if omega is None:
         raise InputFormatError("check needs a form: embed \"omega\" or pass --omega FILE")
     ratio = semi_invariance_ratio(doc.corr, omega)
+    div = divisor_of_form(omega)
     out = {
         "semi_invariant": ratio is not None,
         "lambda": scalar_str(ratio) if ratio is not None else None,
         "weight": omega.weight,
-        "divisor": divisor_to_json(divisor_of_form(omega)),
-        "conductor": conductor(omega),
+        "divisor": divisor_to_json(div),
+        "conductor": div.support_size(),
     }
     if ratio is not None and doc.corr.d1 > doc.corr.d2:
         check = ramification_conductor_check(doc.corr, omega)
@@ -82,19 +86,6 @@ def cmd_check(args):
         out["bound"] = None
         out["holds"] = None
     _emit(out)
-
-
-def _load_document_form(path, field):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: invalid JSON ({exc})") from None
-    from .serialize import form_from_json
-
-    return form_from_json(field, obj, "omega")
 
 
 def cmd_detect(args):
@@ -121,8 +112,6 @@ def cmd_decompose(args):
     doc = _load_document(args.file)
     corr = doc.corr
     if not corr.is_polynomial_pair:
-        from .errors import NormalizationRequired
-
         raise NormalizationRequired("decompose needs polynomial maps")
     dec = decompose_power_pair(corr.sigma1.polynomial, corr.sigma2.polynomial)
     if dec is None:
@@ -139,8 +128,6 @@ def cmd_bound(args):
 def cmd_gen(args):
     if args.family == "multiplicative":
         sigma_coeffs = json.loads(args.sigma) if args.sigma else ["0", "1"]
-        from .serialize import poly_from_json
-
         sigma = poly_from_json(QQ, sigma_coeffs, "--sigma")
         try:
             corr = multiplicative_pair(sigma, args.m, args.h)

@@ -39,10 +39,6 @@ class RationalMap:
             raise ValueError("a map of the line must be nonconstant")
         self.body = body
 
-    @classmethod
-    def from_polynomial(cls, p):
-        return cls(RationalFunction(p))
-
     @property
     def field(self):
         return self.body.field
@@ -63,10 +59,7 @@ class RationalMap:
 
     @property
     def is_separable(self):
-        return not self.body.derivative().is_zero
-
-    def derivative(self):
-        return self.body.derivative()
+        return not _wronskian(self.body).is_zero
 
     def compose(self, other):
         """self after other."""
@@ -88,6 +81,12 @@ class RationalMap:
 
     def __repr__(self):
         return f"RationalMap({self.body!r})"
+
+
+def _wronskian(body):
+    """A'B - AB' for body = A/B: the numerator of body' before reduction."""
+    a_poly, b_poly = body.num, body.den
+    return a_poly.derivative() * b_poly - a_poly * b_poly.derivative()
 
 
 class MobiusTransform:
@@ -320,12 +319,23 @@ class RamificationPlaces:
     image_infinite: bool
     image_value: object
 
+    def wild_place(self, p):
+        """The first place whose index p divides (a cluster or "infinity"), or None."""
+        if p:
+            for cluster, e in self.affine:
+                if e % p == 0:
+                    return cluster
+            if self.infinity % p == 0:
+                return "infinity"
+        return None
+
 
 def ramification_places(sigma):
+    """Ramification data of sigma; raises InseparableMap on a zero Wronskian."""
     body = sigma.body
     a_poly, b_poly = body.num, body.den
     field = body.field
-    wronskian = a_poly.derivative() * b_poly - a_poly * b_poly.derivative()
+    wronskian = _wronskian(body)
     if wronskian.is_zero:
         raise InseparableMap(f"{sigma} is inseparable")
     d = sigma.degree
@@ -397,28 +407,29 @@ class Tameness:
 
 def is_tame(sigma):
     """Tameness verdict: every ramification index coprime to the characteristic."""
-    if not sigma.is_separable:
-        return Tameness(False, "inseparable")
     p = sigma.field.characteristic
     if p == 0:
+        # a nonconstant map is separable, and every index is tame, in characteristic 0
         return Tameness(True)
+    try:
+        wild = ramification_places(sigma).wild_place(p)
+    except InseparableMap:
+        return Tameness(False, "inseparable")
+    return Tameness(wild is None, wild)
+
+
+def _tame_places(sigma):
+    """ramification_places(sigma), after checking that every index is tame."""
     places = ramification_places(sigma)
-    for cluster, e in places.affine:
-        if e % p == 0:
-            return Tameness(False, cluster)
-    if places.infinity % p == 0:
-        return Tameness(False, "infinity")
-    return Tameness(True)
+    wild = places.wild_place(sigma.field.characteristic)
+    if wild is not None:
+        raise WildRamification(wild)
+    return places
 
 
 def ramification_divisor(sigma):
     """R_sigma = sum (e_x - 1) x over ramified places; requires a tame map."""
-    if not sigma.is_separable:
-        raise InseparableMap(f"{sigma} is inseparable")
-    verdict = is_tame(sigma)
-    if not verdict:
-        raise WildRamification(verdict.witness)
-    places = ramification_places(sigma)
+    places = _tame_places(sigma)
     comps = [(cluster, e - 1) for cluster, e in places.affine]
     return Divisor(sigma.field, comps, places.infinity - 1)
 
@@ -493,16 +504,11 @@ def check_order_identity(sigma, omega):
     divisor of omega split along preimages.  Places outside every support
     satisfy the identity trivially, so only the union of supports is checked.
     """
-    if not sigma.is_separable:
-        raise InseparableMap(f"{sigma} is inseparable")
-    verdict = is_tame(sigma)
-    if not verdict:
-        raise WildRamification(verdict.witness)
+    places = _tame_places(sigma)
     nu = omega.weight
     pulled = pullback(sigma, omega)
     div_pulled = divisor_of_form(pulled)
     div_omega = divisor_of_form(omega)
-    places = ramification_places(sigma)
     a_poly, b_poly = sigma.body.num, sigma.body.den
 
     pieces = [(g, {"m": m}) for g, m in div_pulled.affine]

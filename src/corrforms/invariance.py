@@ -117,20 +117,22 @@ class Weight2Solution(NamedTuple):
     degenerate: bool
 
 
+def _require_d1_above_d2(d1, d2):
+    """Solvers and conductor bounds need deg sigma1 > deg sigma2."""
+    if d1 <= d2:
+        raise UnsupportedEqualDegrees(
+            "deg sigma1 must exceed deg sigma2; no conductor bound exists otherwise"
+            f" (got d1 = {d1}, d2 = {d2})"
+        )
+
+
 def _solver_inputs(corr):
     """Polynomial bodies, after the solver preconditions."""
     if not corr.is_polynomial_pair:
         raise NormalizationRequired(
             "flat-form solvers need polynomial maps; conjugate with mobius_conjugate first"
         )
-    if corr.d1 == corr.d2:
-        raise UnsupportedEqualDegrees(
-            f"deg sigma1 = deg sigma2 = {corr.d1}; no conductor bound exists there"
-        )
-    if corr.d1 < corr.d2:
-        raise UnsupportedEqualDegrees(
-            f"solvers require deg sigma1 > deg sigma2 (got {corr.d1} < {corr.d2})"
-        )
+    _require_d1_above_d2(corr.d1, corr.d2)
     p = corr.field.characteristic
     if p and (corr.d1 % p == 0 or corr.d2 % p == 0):
         raise WildRamification("infinity", f"map degree divisible by p = {p}")
@@ -238,10 +240,7 @@ def genus_conductor_bound(g_x, g_y, d1, d2):
             raise ValueError(f"{name} must be a nonnegative integer")
     if not (isinstance(d1, int) and isinstance(d2, int)) or d1 < 1 or d2 < 1:
         raise ValueError("degrees must be positive integers")
-    if d1 == d2:
-        raise UnsupportedEqualDegrees("no conductor bound exists for d1 = d2")
-    if d1 < d2:
-        raise UnsupportedEqualDegrees(f"bound requires d1 > d2 (got {d1} < {d2})")
+    _require_d1_above_d2(d1, d2)
     return Fraction(3 * (2 * g_x - 2) - (2 * d1 + d2) * (2 * g_y - 2), d1 - d2)
 
 
@@ -254,10 +253,7 @@ class BoundCheck:
 
 def ramification_conductor_check(corr, omega):
     """conductor(omega) <= (2 deg R_sigma1 + deg R_sigma2)/(d1 - d2) for semi-invariant omega."""
-    if corr.d1 == corr.d2:
-        raise UnsupportedEqualDegrees("no conductor bound exists for d1 = d2")
-    if corr.d1 < corr.d2:
-        raise UnsupportedEqualDegrees(f"bound requires d1 > d2 (got {corr.d1} < {corr.d2})")
+    _require_d1_above_d2(corr.d1, corr.d2)
     if semi_invariance_ratio(corr, omega) is None:
         raise NotSemiInvariant(f"{omega} is not semi-invariant for {corr!r}")
     r1 = ramification_divisor(corr.sigma1).degree()

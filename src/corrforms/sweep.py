@@ -14,9 +14,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import CorrformsError, NotPLocalUnit, UnsupportedCharacteristic
+from .errors import CorrformsError, InseparableMap, NotPLocalUnit, UnsupportedCharacteristic
 from .field import GF, QQ, is_prime
-from .geometry import RationalMap, is_tame
+from .geometry import RationalMap, ramification_places
 from .invariance import Correspondence, _solver_inputs, find_primitive
 from .poly import Polynomial, gcd_monic, squarefree_decompose
 from .ratfunc import RationalFunction
@@ -53,13 +53,13 @@ def reduce_mod_p(corr, p):
         if isinstance(out, str):
             return f"{name}: {out}"
         try:
-            if not out.is_separable:
-                return f"{name}: inseparable mod {p}"
-            verdict = is_tame(out)
+            wild = ramification_places(out).wild_place(p)
+        except InseparableMap:
+            return f"{name}: inseparable mod {p}"
         except CorrformsError as exc:
             return f"{name}: {exc}"
-        if not verdict:
-            return f"{name}: wild ramification at {verdict.witness} mod {p}"
+        if wild is not None:
+            return f"{name}: wild ramification at {wild} mod {p}"
         reduced.append(out)
     return Correspondence(reduced[0], reduced[1])
 

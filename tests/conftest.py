@@ -4,8 +4,12 @@ Everything here is deterministic: random data always comes from a
 seeded random.Random instance created inside the test that uses it.
 """
 
+import importlib
 from fractions import Fraction
 
+import pytest
+
+from corrforms import geometry
 from corrforms.field import QQ, GF
 from corrforms.poly import Polynomial
 from corrforms.ratfunc import RationalFunction
@@ -59,6 +63,23 @@ def random_separable_poly(rng, field, degree, span=6):
 
 def frac(num, den=1):
     return Fraction(num, den)
+
+
+@pytest.fixture
+def count_ramification_places(monkeypatch):
+    """Record every call of ramification_places, wherever it was imported by name."""
+    calls = []
+    original = geometry.ramification_places
+
+    def counted(sigma):
+        calls.append(sigma)
+        return original(sigma)
+
+    # corrforms.sweep names a function in the package namespace, not the module
+    for module in (geometry, importlib.import_module("corrforms.sweep")):
+        if getattr(module, "ramification_places", None) is original:
+            monkeypatch.setattr(module, "ramification_places", counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

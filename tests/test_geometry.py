@@ -97,6 +97,37 @@ def test_rational_map_basics():
     assert RationalMap(fp(5, 0, 1, 0, 0, 0, 1)).is_separable
 
 
+def _in_t_to_the_p(f, p):
+    """f(t^p): a polynomial with zero derivative in characteristic p."""
+    coeffs = []
+    for c in f.coeffs:
+        coeffs += [c] + [0] * (p - 1)
+    return Polynomial(f.field, coeffs)
+
+
+def test_is_separable_is_the_nonzero_derivative():
+    rng = random.Random(31)
+    seen = set()
+    for p in (2, 3, 5):
+        field = GF(p)
+        for _ in range(60):
+            num = random_poly(rng, field, rng.randint(0, 4))
+            den = random_poly(rng, field, rng.randint(0, 3))
+            if rng.random() < 0.3:
+                num, den = _in_t_to_the_p(num, p), _in_t_to_the_p(den, p)
+            if den.is_zero or rf(num, den).is_constant:
+                continue
+            sigma = RationalMap(rf(num, den))
+            assert sigma.is_separable == (not sigma.body.derivative().is_zero), sigma
+            seen.add((sigma.is_polynomial, sigma.is_separable))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    t = fp(5, 0, 1)
+    sigma = RationalMap(rf(t**5 + 1, t**5 + 2))
+    assert not sigma.is_separable and sigma.body.derivative().is_zero
+    verdict = is_tame(sigma)
+    assert verdict.tame is False and verdict.witness == "inseparable"
+
+
 # ---------------------------------------------------------------------- pullbacks
 
 
@@ -310,6 +341,16 @@ def test_wild_affine_structure_rejected():
         ramification_places(sigma)
     with pytest.raises(WildInput):
         is_tame(sigma)
+
+
+def test_ramification_places_once_per_map(count_ramification_places):
+    t = fp(7, 0, 1)
+    sigma = RationalMap(rf(t**3 + 2 * t, t**2 + 3))
+    omega = w1(fp(7, 1), t - 1)
+    assert ramification_divisor(sigma).degree() == 2 * sigma.degree - 2
+    assert count_ramification_places == [sigma]
+    assert check_order_identity(sigma, omega)
+    assert count_ramification_places == [sigma, sigma]
 
 
 # ------------------------------------------------------------ pullback of divisors

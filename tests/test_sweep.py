@@ -82,6 +82,29 @@ def test_reduce_mod_p_correspondence():
     assert isinstance(got, str)
 
 
+@pytest.mark.parametrize(
+    "sigma1, sigma2, reason",
+    [
+        (qp(1, 0, 1) ** 3, qp(1, 0, 1), "sigma1: inseparable mod 3"),
+        (qp(0, 0, 1, 0, 1), qp(0, 1, 0, 1), "sigma2: wild ramification at infinity mod 3"),
+        (
+            qp(0, 1, 0, 0, 1),
+            qp(0, 1, 0, 1),
+            "sigma1: derivative of t^3 + 1 vanishes in characteristic 3",
+        ),
+    ],
+)
+def test_reduce_mod_p_skip_reason_strings(sigma1, sigma2, reason):
+    assert reduce_mod_p(Correspondence(sigma1, sigma2), 3) == reason
+
+
+def test_reduce_mod_p_ramification_places_once_per_map(count_ramification_places):
+    c = sextic_pair()
+    got = reduce_mod_p(c, 7)
+    assert isinstance(got, Correspondence)
+    assert count_ramification_places == [got.sigma1, got.sigma2]
+
+
 def test_reduce_mod_p_requires_rational_input():
     t5 = fp(5, 0, 1)
     with pytest.raises(UnsupportedCharacteristic):
