@@ -3,7 +3,10 @@
 Closed points never require factorization: an affine closed-point cluster is
 a monic squarefree polynomial, a divisor is a coprime list of such clusters
 with integer multiplicities plus an integer multiplicity at infinity, and
-ramification indices fall out of gcd refinements.
+ramification indices fall out of gcd refinements.  `Divisor` is the one
+place where overlapping clusters are split by gcd; everything else compares
+or adds divisors, so the local order identity is checked as the divisor
+equation div(sigma^* omega) = sigma^* div(omega) + nu R_sigma.
 
 Ramification is computed in three charts:
   * finite-value affine places: zeros of the Wronskian A'B - AB', refined by
@@ -21,7 +24,7 @@ from .errors import (
     InseparableMap,
     WildRamification,
 )
-from .poly import Polynomial, gcd_monic, radical, squarefree_decompose
+from .poly import Polynomial, gcd_monic, squarefree_decompose
 from .ratfunc import RationalFunction, compose_with_quotient
 
 
@@ -429,7 +432,10 @@ def _tame_places(sigma):
 
 def ramification_divisor(sigma):
     """R_sigma = sum (e_x - 1) x over ramified places; requires a tame map."""
-    places = _tame_places(sigma)
+    return _ramification_divisor(sigma, _tame_places(sigma))
+
+
+def _ramification_divisor(sigma, places):
     comps = [(cluster, e - 1) for cluster, e in places.affine]
     return Divisor(sigma.field, comps, places.infinity - 1)
 
@@ -444,20 +450,17 @@ def mobius_conjugate(sigma, phi):
     return out
 
 
-def _preimage_cluster(h_poly, a_poly, b_poly):
-    """Numerator of h(sigma): sum h_i A^i B^(deg h - i)."""
-    return compose_with_quotient(h_poly, a_poly, b_poly, h_poly.degree)
-
-
 def pullback_divisor(sigma, div):
     """sigma^*(div): multiplicities pick up ramification indices."""
-    body = sigma.body
-    a_poly, b_poly = body.num, body.den
-    places = ramification_places(sigma)
+    return _pullback_divisor(sigma, ramification_places(sigma), div)
+
+
+def _pullback_divisor(sigma, places, div):
+    a_poly, b_poly = sigma.body.num, sigma.body.den
     comps = []
     inf_mult = 0
     for h_poly, n in div.affine:
-        pre = _preimage_cluster(h_poly, a_poly, b_poly)
+        pre = compose_with_quotient(h_poly, a_poly, b_poly, h_poly.degree)
         for cluster, k in squarefree_decompose(pre).parts:
             comps.append((cluster, n * k))
         if not places.image_infinite and not h_poly(places.image_value):
@@ -472,63 +475,16 @@ def pullback_divisor(sigma, div):
     return Divisor(sigma.field, comps, inf_mult)
 
 
-def _attach(pieces, poly, key, value):
-    """Refine labelled coprime pieces so that `key: value` holds exactly on poly."""
-    if poly.degree < 1:
-        return pieces
-    out = []
-    for piece, labels in pieces:
-        common = gcd_monic(piece, poly)
-        if common.degree > 0:
-            tagged = dict(labels)
-            if key in tagged and tagged[key] != value:
-                raise AssertionError(f"conflicting {key} labels on {common}")
-            tagged[key] = value
-            out.append((common, tagged))
-            rest = piece // common
-            if rest.degree > 0:
-                out.append((rest, labels))
-            poly = poly // common
-        else:
-            out.append((piece, labels))
-    if poly.degree > 0:
-        out.append((poly, {key: value}))
-    return out
-
-
 def check_order_identity(sigma, omega):
     """Verify ord_x(sigma^* omega) + nu = e_x (ord_{sigma(x)} omega + nu) everywhere.
 
-    Both sides are computed independently: the left from the divisor of the
-    computed pullback, the right from the ramification refinement and the
-    divisor of omega split along preimages.  Places outside every support
-    satisfy the identity trivially, so only the union of supports is checked.
+    At every place this is the divisor equation
+    div(sigma^* omega) = sigma^* div(omega) + nu R_sigma.  The left side is
+    the divisor of the computed pullback; the right side pulls div(omega)
+    back along preimages and adds the ramification divisor.  `Divisor` is
+    canonical, so the two sides are compared with `==`.
     """
     places = _tame_places(sigma)
-    nu = omega.weight
-    pulled = pullback(sigma, omega)
-    div_pulled = divisor_of_form(pulled)
-    div_omega = divisor_of_form(omega)
-    a_poly, b_poly = sigma.body.num, sigma.body.den
-
-    pieces = [(g, {"m": m}) for g, m in div_pulled.affine]
-    for cluster, e in places.affine:
-        pieces = _attach(pieces, cluster, "e", e)
-    for h_poly, n in div_omega.affine:
-        pre = _preimage_cluster(h_poly, a_poly, b_poly)
-        pieces = _attach(pieces, radical(pre), "n", n)
-    if b_poly.degree > 0:
-        pieces = _attach(pieces, radical(b_poly), "n", div_omega.at_infinity)
-
-    for _, labels in pieces:
-        m = labels.get("m", 0)
-        e = labels.get("e", 1)
-        n = labels.get("n", 0)
-        if m + nu != e * (n + nu):
-            return False
-
-    if places.image_infinite:
-        n_inf = div_omega.at_infinity
-    else:
-        n_inf = div_omega.multiplicity_at(places.image_value)
-    return div_pulled.at_infinity + nu == places.infinity * (n_inf + nu)
+    lhs = divisor_of_form(pullback(sigma, omega))
+    rhs = _pullback_divisor(sigma, places, divisor_of_form(omega))
+    return lhs == rhs + omega.weight * _ramification_divisor(sigma, places)

@@ -10,6 +10,7 @@ function and sorted by p, making the report independent of --jobs.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -135,8 +136,10 @@ def sweep(corr, pmin, pmax, jobs=1):
         raise ValueError("jobs must be a positive integer")
     primes = primes_in_range(pmin, pmax)
     work = partial(_sweep_one, corr)
-    if jobs > 1 and len(primes) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts every worker at once: never more than cores or primes
+    workers = min(jobs, len(primes), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(work, primes))
     else:
         entries = [work(p) for p in primes]
@@ -158,9 +161,11 @@ class Decomposition:
 def decompose_power_pair(sigma1, sigma2):
     """Recognize a common-power pair, or return None.
 
-    Both squarefree decompositions are refined against each other by gcds;
-    the refinement must exhaust both radicals and all multiplicity ratios
-    k/l must agree as one reduced fraction m/h, which then rebuilds sigma.
+    With m/h = deg sigma1 / deg sigma2 in lowest terms, the pair is
+    (lambda1 sigma^m, lambda2 sigma^h) exactly when the two squarefree
+    decompositions agree part by part with multiplicities m k and h k;
+    Yun's parts are canonical (monic, coprime, ascending multiplicity), so
+    they are compared as lists, and sigma = prod part^(k/m).
     """
     for name, s in (("sigma1", sigma1), ("sigma2", sigma2)):
         if not isinstance(s, Polynomial):
@@ -170,29 +175,15 @@ def decompose_power_pair(sigma1, sigma2):
     sigma1._check(sigma2)
     if sigma1.field.characteristic != 0:
         raise UnsupportedCharacteristic("power-pair decomposition works over Q only")
+    g = math.gcd(sigma1.degree, sigma2.degree)
+    m, h = sigma1.degree // g, sigma2.degree // g
     parts1 = squarefree_decompose(sigma1).parts
     parts2 = squarefree_decompose(sigma2).parts
-    shared = []  # (cluster, k, l)
-    covered1 = {k: 0 for _, k in parts1}
-    covered2 = {l: 0 for _, l in parts2}
-    for a_poly, k in parts1:
-        for b_poly, l in parts2:
-            g = gcd_monic(a_poly, b_poly)
-            if g.degree > 0:
-                shared.append((g, k, l))
-                covered1[k] += g.degree
-                covered2[l] += g.degree
-    if any(covered1[k] != a.degree for a, k in parts1):
+    if [(a, h * k) for a, k in parts1] != [(b, m * l) for b, l in parts2]:
         return None
-    if any(covered2[l] != b.degree for b, l in parts2):
-        return None
-    ratios = {(k // math.gcd(k, l), l // math.gcd(k, l)) for _, k, l in shared}
-    if len(ratios) != 1:
-        return None
-    m, h = ratios.pop()
     base = Polynomial.one(sigma1.field)
-    for g, k, _ in shared:
-        base = base * g ** (k // m)
+    for a, k in parts1:
+        base = base * a ** (k // m)
     lam1, lam2 = sigma1.leading, sigma2.leading
     if base**m * lam1 != sigma1 or base**h * lam2 != sigma2:
         return None

@@ -476,3 +476,28 @@ def test_mobius_conjugation_preserves_ramification_random():
         r2 = ramification_divisor(conj)
         assert r1.degree() == r2.degree()
         assert r1.support_size() == r2.support_size()
+
+
+def test_order_identity_false_when_pullback_is_perturbed(monkeypatch):
+    # the identity must reject a pullback off by a factor (t - 5), and accept
+    # one off by a nonzero constant, whose divisor is the same
+    from corrforms import geometry
+
+    real_pullback = geometry.pullback
+    t, t7 = qp(0, 1), fp(7, 0, 1)
+    cases = [
+        (RationalMap(t**3 + 2 * t + 1), w2(qp(1), t**2 - 4), t),
+        (RationalMap(rf(t**2 + 1, t - 2)), w1(qp(3), t * (t + 1)), t),
+        (RationalMap(rf(t7**3 + 2 * t7, t7**2 + 3)), w1(fp(7, 1), t7 - 1), t7),
+    ]
+    for sigma, omega, x in cases:
+        assert check_order_identity(sigma, omega)
+        for factor, expected in ((Polynomial.constant(x.field, 3), True), (x - 5, False)):
+
+            def perturbed(s, w, factor=factor):
+                pulled = real_pullback(s, w)
+                return DifferentialForm(pulled.coeff * factor, pulled.weight)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "pullback", perturbed)
+                assert check_order_identity(sigma, omega) is expected

@@ -318,3 +318,92 @@ def test_chebyshev_scales_weight_two_flat_form():
         got = pullback(RationalMap(chebyshev(d)), omega)
         assert got.weight == 2
         assert got.coeff == RationalFunction(qp(d * d), t**2 - 4)
+
+
+def test_sweep_worker_count_is_bounded(monkeypatch):
+    # a fork pool starts all its workers at once; the width must be capped by
+    # the cores and the primes, whatever jobs asks for.  No process is started.
+    import importlib
+    import os
+
+    widths = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    module = importlib.import_module("corrforms.sweep")
+    monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
+    c = sextic_pair()
+    bound = min(os.cpu_count() or 1, len(primes_in_range(2, 50)))
+    par = sweep(c, 2, 50, jobs=10**6)
+    assert len(widths) == (1 if bound > 1 else 0)
+    assert all(w <= bound for w in widths)
+    assert par.entries == sweep(c, 2, 50, jobs=1).entries
+
+
+def test_decompose_power_pair_exponent_oracle():
+    # sigma_i = lambda_i * prod (t - c)^(exponent); the answer follows from the
+    # exponent vectors alone: a power pair exactly when the supports agree and
+    # the vectors are proportional, with (m, h) their ratio in lowest terms.
+    import math
+
+    rng = random.Random(2012)
+    t = qp(0, 1)
+    kinds = ["proportional", "equal", "random", "support_differs"]
+    seen = {kind: 0 for kind in kinds}
+    found = 0
+    for case in range(200):
+        kind = kinds[case % len(kinds)]
+        roots = rng.sample(range(-6, 7), rng.randint(1, 3))
+        if kind == "random":
+            a = [rng.randint(0, 4) for _ in roots]
+            b = [rng.randint(0, 4) for _ in roots]
+        else:
+            base = [rng.randint(1, 2) for _ in roots]
+            p, q = (1, 1) if kind == "equal" else (rng.randint(1, 3), rng.randint(1, 3))
+            a = [p * s for s in base]
+            b = [q * s for s in base]
+            if kind == "support_differs":
+                i = rng.randrange(len(roots) + 1)
+                if i == len(roots):  # an extra point in the second map only
+                    roots = roots + [next(c for c in range(-6, 7) if c not in roots)]
+                    a, b = a + [0], b + [rng.randint(1, 3)]
+                else:
+                    b[i] = 0
+        if sum(a) == 0 or sum(b) == 0:
+            continue
+        seen[kind] += 1
+        lam1 = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 7]))
+        lam2 = Fraction(rng.choice([-2, 1, 3, 4]), rng.choice([1, 3]))
+        sigma1 = Polynomial.constant(QQ, lam1)
+        sigma2 = Polynomial.constant(QQ, lam2)
+        for c, ai, bi in zip(roots, a, b):
+            sigma1 = sigma1 * (t - c) ** ai
+            sigma2 = sigma2 * (t - c) ** bi
+        support = [i for i in range(len(roots)) if a[i] or b[i]]
+        proportional = all(a[i] and b[i] for i in support) and all(
+            a[i] * b[j] == a[j] * b[i] for i in support for j in support
+        )
+        got = decompose_power_pair(sigma1, sigma2)
+        if not proportional:
+            assert got is None, (roots, a, b)
+            continue
+        found += 1
+        j = support[0]
+        g = math.gcd(a[j], b[j])
+        m, h = a[j] // g, b[j] // g
+        sigma = Polynomial.one(QQ)
+        for c, ai in zip(roots, a):
+            sigma = sigma * (t - c) ** (ai // m)
+        assert got == Decomposition(sigma, m, h, lam1, lam2), (roots, a, b)
+    assert all(seen.values()) and 0 < found < sum(seen.values())
