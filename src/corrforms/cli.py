@@ -15,12 +15,12 @@ import sys
 
 from .errors import CorrformsError, InputFormatError, NormalizationRequired
 from .field import MAX_PRIME_MODULUS, QQ
-from .geometry import divisor_of_form, mobius_conjugate
+from .geometry import divisor_of_form
 from .invariance import (
     Correspondence,
     find_primitive,
     genus_conductor_bound,
-    ramification_conductor_check,
+    ramification_conductor_bound,
     semi_invariance_ratio,
 )
 from .serialize import (
@@ -53,13 +53,7 @@ def _read_json(path):
 
 
 def _load_document(path):
-    doc = document_from_json(_read_json(path))
-    if doc.mobius is not None:
-        doc.corr = Correspondence(
-            mobius_conjugate(doc.corr.sigma1, doc.mobius),
-            mobius_conjugate(doc.corr.sigma2, doc.mobius),
-        )
-    return doc
+    return document_from_json(_read_json(path))
 
 
 def cmd_check(args):
@@ -79,9 +73,9 @@ def cmd_check(args):
         "conductor": div.support_size(),
     }
     if ratio is not None and doc.corr.d1 > doc.corr.d2:
-        check = ramification_conductor_check(doc.corr, omega)
-        out["bound"] = scalar_str(check.bound)
-        out["holds"] = check.holds
+        bound = ramification_conductor_bound(doc.corr)
+        out["bound"] = scalar_str(bound)
+        out["holds"] = out["conductor"] <= bound
     else:
         out["bound"] = None
         out["holds"] = None

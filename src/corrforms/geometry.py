@@ -8,10 +8,11 @@ place where overlapping clusters are split by gcd; everything else compares
 or adds divisors, so the local order identity is checked as the divisor
 equation div(sigma^* omega) = sigma^* div(omega) + nu R_sigma.
 
-Ramification is computed in three charts:
-  * finite-value affine places: zeros of the Wronskian A'B - AB', refined by
-    truncated Taylor coefficients so indices are exact in any characteristic;
-  * poles: via 1/sigma, the index at a pole is its multiplicity in B;
+Ramification is computed in two charts:
+  * affine places, poles included: zeros of the Wronskian A'B - AB', refined
+    by truncated Taylor coefficients so indices are exact in any
+    characteristic (at a pole B vanishes, so the first nonzero coefficient
+    -A B^[j] sits at j = the pole order, and a simple pole is no zero);
   * the point at infinity: conjugate by t -> 1/s (coefficient reversal).
 """
 
@@ -343,15 +344,10 @@ def ramification_places(sigma):
         raise InseparableMap(f"{sigma} is inseparable")
     d = sigma.degree
 
-    # chart 1: affine places with finite image = zeros of the Wronskian away from poles
-    w_aff = wronskian
-    g = gcd_monic(w_aff, b_poly) if b_poly.degree > 0 else None
-    while g is not None and g.degree > 0:
-        w_aff = w_aff // g
-        g = gcd_monic(w_aff, b_poly)
+    # chart 1: affine places, poles included = zeros of the Wronskian
     entries = []
-    if w_aff.degree > 0:
-        for cluster, _ in squarefree_decompose(w_aff).parts:
+    if wronskian.degree > 0:
+        for cluster, _ in squarefree_decompose(wronskian).parts:
             remaining = cluster
             j = 2
             while remaining.degree > 0:
@@ -367,13 +363,7 @@ def ramification_places(sigma):
                 remaining = stays
                 j += 1
 
-    # chart 2: poles, via 1/sigma — the index is the multiplicity in the denominator
-    if b_poly.degree > 0:
-        for cluster, mult in squarefree_decompose(b_poly).parts:
-            if mult >= 2:
-                entries.append((cluster, mult))
-
-    # chart 3: infinity, via conjugation by t -> 1/s (coefficient reversal)
+    # chart 2: infinity, via conjugation by t -> 1/s (coefficient reversal)
     deg_a, deg_b = a_poly.degree, b_poly.degree
     if deg_a > deg_b:
         e_inf = deg_a - deg_b

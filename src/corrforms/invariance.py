@@ -251,14 +251,20 @@ class BoundCheck:
     holds: bool
 
 
+def ramification_conductor_bound(corr):
+    """(2 deg R_sigma1 + deg R_sigma2)/(d1 - d2), exact; needs tame maps."""
+    _require_d1_above_d2(corr.d1, corr.d2)
+    r1 = ramification_divisor(corr.sigma1).degree()
+    r2 = ramification_divisor(corr.sigma2).degree()
+    return Fraction(2 * r1 + r2, corr.d1 - corr.d2)
+
+
 def ramification_conductor_check(corr, omega):
-    """conductor(omega) <= (2 deg R_sigma1 + deg R_sigma2)/(d1 - d2) for semi-invariant omega."""
+    """conductor(omega) <= ramification_conductor_bound(corr) for semi-invariant omega."""
     _require_d1_above_d2(corr.d1, corr.d2)
     if semi_invariance_ratio(corr, omega) is None:
         raise NotSemiInvariant(f"{omega} is not semi-invariant for {corr!r}")
-    r1 = ramification_divisor(corr.sigma1).degree()
-    r2 = ramification_divisor(corr.sigma2).degree()
-    bound = Fraction(2 * r1 + r2, corr.d1 - corr.d2)
+    bound = ramification_conductor_bound(corr)
     cond = conductor(omega)
     return BoundCheck(cond, bound, cond <= bound)
 

@@ -10,10 +10,11 @@ path of the offending value.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputFormatError
 from .field import GF, QQ, FpElement
-from .geometry import DifferentialForm, MobiusTransform, RationalMap
+from .geometry import DifferentialForm, MobiusTransform, RationalMap, mobius_conjugate
 from .invariance import Correspondence
 from .poly import Polynomial
 from .ratfunc import RationalFunction
@@ -130,18 +131,19 @@ def field_from_json(data, where):
     raise InputFormatError(f'{where}: expected "Q" or {{"Fp": p}}')
 
 
-class ParsedDocument:
-    __slots__ = ("field", "corr", "omega", "mobius")
-
-    def __init__(self, field, corr, omega, mobius):
-        self.field = field
-        self.corr = corr
-        self.omega = omega
-        self.mobius = mobius
+class ParsedDocument(NamedTuple):
+    field: object
+    corr: Correspondence
+    omega: DifferentialForm | None
+    mobius: MobiusTransform | None
 
 
 def document_from_json(obj):
-    """Parse an input document: sigma1, sigma2, optional omega / field / mobius."""
+    """Parse an input document: sigma1, sigma2, optional omega / field / mobius.
+
+    A Mobius change phi is applied while parsing: corr holds the conjugated
+    maps phi o sigma o phi^{-1}, and mobius records phi.
+    """
     if not isinstance(obj, dict):
         raise InputFormatError("document: expected a JSON object")
     unknown = set(obj) - {"sigma1", "sigma2", "omega", "field", "mobius"}
@@ -155,6 +157,9 @@ def document_from_json(obj):
     sigma2 = map_from_json(field, obj["sigma2"], "sigma2")
     omega = form_from_json(field, obj["omega"], "omega") if "omega" in obj else None
     mobius = mobius_from_json(field, obj["mobius"], "mobius") if "mobius" in obj else None
+    if mobius is not None:
+        sigma1 = mobius_conjugate(sigma1, mobius)
+        sigma2 = mobius_conjugate(sigma2, mobius)
     corr = Correspondence(sigma1, sigma2)  # inseparability is a math failure, not a parse one
     return ParsedDocument(field, corr, omega, mobius)
 

@@ -5,11 +5,12 @@ seeded random.Random instance created inside the test that uses it.
 """
 
 import importlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from corrforms import geometry
+from corrforms import geometry, invariance
 from corrforms.field import QQ, GF
 from corrforms.poly import Polynomial
 from corrforms.ratfunc import RationalFunction
@@ -79,6 +80,31 @@ def count_ramification_places(monkeypatch):
     for module in (geometry, importlib.import_module("corrforms.sweep")):
         if getattr(module, "ramification_places", None) is original:
             monkeypatch.setattr(module, "ramification_places", counted)
+    return calls
+
+
+@pytest.fixture
+def count_check_quantities(monkeypatch):
+    """Count calls of semi_invariance_ratio, divisor_of_form and
+    Correspondence.__init__, wherever a function was imported by name."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    cli = importlib.import_module("corrforms.cli")
+    for name, home in (("semi_invariance_ratio", invariance), ("divisor_of_form", geometry)):
+        original = getattr(home, name)
+        wrapper = counted(name, original)
+        for module in (geometry, invariance, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    init = invariance.Correspondence.__init__
+    monkeypatch.setattr(invariance.Correspondence, "__init__", counted("Correspondence", init))
     return calls
 
 

@@ -311,6 +311,27 @@ def test_mobius_document_is_applied(tmp_path, capsys):
     assert got["form"] == {"a": "1"}  # flat point moved to t = 1
 
 
+CHEB_SHIFTED = {
+    **CHEB_PAIR,
+    "omega": {"num": ["1"], "den": ["-3", "-2", "1"], "weight": 2},  # (dt)^2/((t-1)^2 - 4)
+    "mobius": {"a": "1", "b": "1", "c": "0", "d": "1"},
+}
+
+
+@pytest.mark.parametrize("doc", [CUBIC_PAIR, CHEB_SHIFTED], ids=["cubic", "chebyshev_mobius"])
+def test_check_computes_each_quantity_once(tmp_path, capsys, count_check_quantities, doc):
+    path = write_doc(tmp_path, "doc.json", doc)
+    code, out, err = run_cli(capsys, "check", path)
+    assert code == 0 and err == ""
+    got = json.loads(out)
+    assert got["bound"] is not None and got["holds"] is True
+    assert count_check_quantities == {
+        "semi_invariance_ratio": 1,
+        "divisor_of_form": 1,
+        "Correspondence": 1,
+    }
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "corrforms", "bound", "--gx", "0", "--gy", "0", "--d1", "4", "--d2", "1"],

@@ -265,6 +265,36 @@ def test_ramification_places_power_map():
     assert places.infinity == 2
 
 
+def _random_map_with_pole(rng, field):
+    """sigma = A / ((t - c)^e C) in lowest terms, with its pole c and order e."""
+    t = Polynomial.variable(field)
+    while True:
+        c = field.scalar(rng.randint(-5, 5))
+        e = rng.randint(1, 4)
+        big_c = random_poly(rng, field, rng.randint(0, 2))
+        a = random_poly(rng, field, rng.randint(0, 5))
+        if big_c.is_zero or not big_c(c) or not a(c) or gcd_monic(a, big_c).degree > 0:
+            continue
+        body = RationalFunction(a, (t - c) ** e * big_c)
+        if body.is_constant:
+            continue
+        return RationalMap(body), c, e
+
+
+def test_riemann_hurwitz_rational_maps_with_poles():
+    # poles are read off the Wronskian: a pole of order e is a place of index e
+    rng = random.Random(29)
+    for field in (QQ, GF(53), GF(59)):
+        for _ in range(25):
+            sigma, c, e = _random_map_with_pole(rng, field)
+            r = ramification_divisor(sigma)
+            assert r.degree() == 2 * sigma.degree - 2
+            if e >= 2:
+                assert r.multiplicity_at(c) == e - 1
+            else:
+                assert r.multiplicity_at(c) == 0
+
+
 def test_ramification_places_nontrivial():
     t = qp(0, 1)
     # sigma = t^2 (t+1): critical points where 3t^2 + 2t = 0, i.e. t = 0, -2/3.

@@ -19,7 +19,7 @@ from corrforms.errors import (
     WildRamification,
 )
 from corrforms.field import GF, QQ, FpElement
-from corrforms.geometry import MobiusTransform, RationalMap, mobius_conjugate
+from corrforms.geometry import MobiusTransform, RationalMap, is_tame, mobius_conjugate
 from corrforms.invariance import (
     Correspondence,
     affine_conductor_guard,
@@ -28,6 +28,7 @@ from corrforms.invariance import (
     flat_form_weight1,
     flat_form_weight2,
     genus_conductor_bound,
+    ramification_conductor_bound,
     ramification_conductor_check,
     semi_invariance_ratio,
     solve_weight1_flat,
@@ -35,7 +36,7 @@ from corrforms.invariance import (
 )
 from corrforms.sweep import chebyshev, multiplicative_pair
 
-from conftest import fp, qp, random_poly, rf
+from conftest import fp, qp, random_poly, random_separable_poly, rf
 
 
 def corr(f, g):
@@ -304,6 +305,61 @@ def test_bound_agreement_random():
         chk = ramification_conductor_check(c, omega)
         assert chk.bound == genus_conductor_bound(0, 0, m, h)
         assert chk.holds
+
+
+def _random_degree_pair(rng):
+    d1 = rng.randint(2, 6)
+    return d1, rng.randint(1, d1 - 1)
+
+
+def test_ramification_conductor_bound_is_riemann_hurwitz_polynomial_pairs():
+    # on the line a tame degree-d map has deg R = 2d - 2, so the bound is the genus-0 one
+    rng = random.Random(41)
+    for field in (QQ, GF(53)):
+        for _ in range(12):
+            d1, d2 = _random_degree_pair(rng)
+            c = corr(random_separable_poly(rng, field, d1), random_separable_poly(rng, field, d2))
+            assert is_tame(c.sigma1) and is_tame(c.sigma2)
+            assert ramification_conductor_bound(c) == genus_conductor_bound(0, 0, d1, d2)
+
+
+def test_ramification_conductor_bound_is_riemann_hurwitz_rational_pairs():
+    rng = random.Random(42)
+    done = 0
+    while done < 12:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if c == 0 or a * d - b * c == 0:
+            continue  # c != 0 makes the conjugated maps rational, not polynomial
+        phi = MobiusTransform(QQ, a, b, c, d)
+        d1, d2 = _random_degree_pair(rng)
+        s1 = mobius_conjugate(RationalMap(random_separable_poly(rng, QQ, d1)), phi)
+        s2 = mobius_conjugate(RationalMap(random_separable_poly(rng, QQ, d2)), phi)
+        pair = corr(s1, s2)
+        assert not pair.is_polynomial_pair
+        assert ramification_conductor_bound(pair) == genus_conductor_bound(0, 0, d1, d2)
+        done += 1
+
+
+def test_ramification_conductor_bound_preconditions():
+    t = qp(0, 1)
+    for pair in (corr(t, t**2), corr(t**2, t**2 + 1)):
+        with pytest.raises(UnsupportedEqualDegrees):
+            ramification_conductor_bound(pair)
+    s = fp(3, 0, 1)
+    with pytest.raises(WildRamification):
+        ramification_conductor_bound(corr(s**3 + s, s))  # degree 3 is wild at infinity
+
+
+def test_ramification_conductor_check_takes_the_bound():
+    t = qp(0, 1)
+    omega = flat_form_weight1(QQ, 0)
+    for c, form in (
+        (corr(t**6, t**2), omega),
+        (corr(t**4, t), omega),
+        (corr(chebyshev(4), chebyshev(2)), flat_form_weight2(QQ, 0, -4)),
+    ):
+        assert ramification_conductor_check(c, form).bound == ramification_conductor_bound(c)
+    assert ramification_conductor_bound(corr(chebyshev(4), chebyshev(2))) == 7
 
 
 # ------------------------------------------------------- affine support lemmas
