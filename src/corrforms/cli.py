@@ -9,6 +9,7 @@ codes: 0 on success (a trivial group or an absent form is still success),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -93,10 +94,12 @@ def cmd_sweep(args):
         raise InputFormatError(f"--pmin {args.pmin} exceeds --pmax {args.pmax}")
     if args.pmax >= MAX_PRIME_MODULUS:
         raise InputFormatError(f"--pmax {args.pmax} must be below 2**31")
-    if args.jobs < 1:
-        raise InputFormatError(f"--jobs must be a positive integer (got {args.jobs})")
+    # read per call, not when the cached parser was built
+    jobs = _default_jobs() if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise InputFormatError(f"--jobs must be a positive integer (got {jobs})")
     doc = _load_document(args.file)
-    report = sweep(doc.corr, args.pmin, args.pmax, jobs=args.jobs)
+    report = sweep(doc.corr, args.pmin, args.pmax, jobs=jobs)
     for entry in report.entries:
         _emit(sweep_entry_to_json(entry))
     _emit(sweep_summary_to_json(report))
@@ -152,7 +155,9 @@ def _default_jobs():
     return max(jobs, 1)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="corrforms",
         description="Semi-invariant differential forms of correspondences of the line",
@@ -172,7 +177,7 @@ def build_parser():
     p_sweep.add_argument("file")
     p_sweep.add_argument("--pmin", type=int, required=True)
     p_sweep.add_argument("--pmax", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=_default_jobs())
+    p_sweep.add_argument("--jobs", type=int)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_dec = sub.add_parser("decompose", help="recognize a common-power pair")
@@ -202,8 +207,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except (InputFormatError, json.JSONDecodeError) as exc:

@@ -6,11 +6,12 @@ anywhere in this package: closed points are represented by monic squarefree
 polynomials, and Yun's algorithm supplies the squarefree decomposition.
 
 Storage contract: ``coeffs`` holds the field's raw values (see field.py),
-Fractions over Q and plain int residues in [0, p) over F_p.  The F_p kernels
-compute on those ints with ``% p`` and multiply by Kronecker substitution;
-the Q kernels are Fraction loops.  The public scalar FpElement appears only
-where a value leaves a polynomial: ``leading``, ``coefficient`` and
-evaluation.
+Fractions over Q and plain int residues in [0, p) over F_p.  Both fields
+multiply by Kronecker substitution on integers: F_p on the residues, then
+``% p``; Q on the numerators over one common denominator, then back to
+Fractions.  The other Q kernels (division, gcd) are Fraction loops, and Q
+storage stays Fraction.  The public scalar FpElement appears only where a
+value leaves a polynomial: ``leading``, ``coefficient`` and evaluation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import FieldMismatch, WildInput
 
@@ -29,39 +31,70 @@ NEG_INFINITY = float("-inf")
 _TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
-def _pack(cs, width, code):
+def _repeat(c, n, width):
+    """The packed integer whose n slots all hold c."""
+    return int.from_bytes(c.to_bytes(width, sys.byteorder) * n, sys.byteorder)
+
+
+def _pack(cs, width, code, half=0):
+    """The integer sum of cs[i] * 2**(8*width*i); each slot stores cs[i] + half >= 0."""
+    if half:
+        cs = [c + half for c in cs]
     if code:
         data = array(code, cs).tobytes()
     else:
         data = b"".join(c.to_bytes(width, sys.byteorder) for c in cs)
-    return int.from_bytes(data, sys.byteorder)
+    return int.from_bytes(data, sys.byteorder) - _repeat(half, len(cs), width)
 
 
-def _slots(data, width, code):
+def _slots(x, n, width, code, half=0):
+    """The n values c of x as packed by _pack, each with -half <= c < 2**(8*width) - half."""
+    data = (x + _repeat(half, n, width)).to_bytes(n * width, sys.byteorder)
     if code:
-        return memoryview(data).cast(code)
-    return (int.from_bytes(data[i : i + width], sys.byteorder) for i in range(0, len(data), width))
+        slots = memoryview(data).cast(code)
+    else:
+        slots = (int.from_bytes(data[i : i + width], sys.byteorder) for i in range(0, len(data), width))
+    return [c - half for c in slots] if half else slots
 
 
-def _kronecker_mul(a, b, p):
-    """Product of residue sequences mod p by one integer multiplication.
+def _kronecker_mul(a, b, bound, signed=False):
+    """Product coefficients of integer sequences a and b by one integer multiplication.
 
     Each operand becomes an integer with one byte-aligned slot per coefficient.
-    A product coefficient is a sum of at most min(len(a), len(b)) terms below
-    p**2, so slots wide enough for min(len)*(p-1)**2 never carry into each
-    other (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).  Slots
-    are a power of two bytes wide, so up to 8 bytes they are machine
-    integers that array and memoryview convert without a Python loop.
+    bound caps the absolute value of every product coefficient, a sum of at
+    most min(len(a), len(b)) terms, so slots wide enough for it never carry
+    into each other (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
+    Slots are a power of two bytes wide, so up to 8 bytes they are machine
+    integers that array and memoryview convert without a Python loop.  A
+    signed slot stores its value plus half the slot range, so packing and
+    unpacking stay unsigned; the sign takes one bit of the width.
     """
-    bits = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    if len(a) == 1 or len(b) == 1:  # a scalar operand needs no packing
+        (k,), cs = (a, b) if len(a) == 1 else (b, a)
+        return [k * c for c in cs]
     width = 1
-    while 8 * width < bits:
+    while 8 * width < bound.bit_length() + signed:
         width *= 2
     code = _TYPECODES.get(width)
-    x = _pack(a, width, code)
-    y = x if b is a else _pack(b, width, code)
-    data = (x * y).to_bytes((len(a) + len(b) - 1) * width, sys.byteorder)
-    return [c % p for c in _slots(data, width, code)]
+    half = 1 << (8 * width - 1) if signed else 0
+    x = _pack(a, width, code, half)
+    y = x if b is a else _pack(b, width, code, half)
+    return _slots(x * y, len(a) + len(b) - 1, width, code, half)
+
+
+def _integer_parts(cs):
+    """Integers ns and d > 0 with cs[i] == ns[i] / d: d is the lcm of the denominators."""
+    d = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _mul_qq(a, b):
+    """Product of Fraction sequences, as one Kronecker product of their numerators."""
+    na, da = _integer_parts(a)
+    nb, db = (na, da) if b is a else _integer_parts(b)
+    bound = min(len(na), len(nb)) * max(map(abs, na)) * max(map(abs, nb))
+    d = da * db
+    return [Fraction(c, d) for c in _kronecker_mul(na, nb, bound, signed=True)]
 
 
 def _divmod_fp(a, b, p):
@@ -202,16 +235,16 @@ class Polynomial:
         self._check(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.field)
+        a, b = self.coeffs, other.coeffs
+        if a == (1,):  # the power and composition loops start from one
+            return other
+        if b == (1,):
+            return self
         p = self.field.characteristic
         if p:
-            return Polynomial._make(self.field, _kronecker_mul(self.coeffs, other.coeffs, p))
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial._make(self.field, out)
+            bound = min(len(a), len(b)) * (p - 1) ** 2
+            return Polynomial._make(self.field, [c % p for c in _kronecker_mul(a, b, bound)])
+        return Polynomial._make(self.field, _mul_qq(a, b))
 
     __rmul__ = __mul__
 

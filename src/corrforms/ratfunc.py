@@ -22,6 +22,14 @@ def compose_with_quotient(poly, num, den, order):
     return acc
 
 
+def _monic_den(num, den):
+    """num/den rescaled so that den is monic."""
+    inv = num.field.one() / den.leading
+    if inv != num.field.one():
+        num, den = num * inv, den * inv
+    return num, den
+
+
 class RationalFunction:
     """num/den in lowest terms, den monic; num == 0 is represented as 0/1."""
 
@@ -41,11 +49,7 @@ class RationalFunction:
             g = gcd_monic(num, den)
             if g.degree > 0:
                 num, den = num // g, den // g
-            inv = num.field.one() / den.leading
-            if inv != num.field.one():
-                num, den = num * inv, den * inv
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_den(num, den)
 
     @classmethod
     def from_polynomial(cls, p):
@@ -135,11 +139,15 @@ class RationalFunction:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise ValueError("exponent must be an int")
+        num, den = self.num, self.den
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("0 has no negative powers")
-            return RationalFunction(self.den**-n, self.num**-n)
-        return RationalFunction(self.num**n, self.den**n)
+            num, den, n = den, num, -n
+        # powers of coprime polynomials are coprime: no gcd to take
+        out = object.__new__(RationalFunction)
+        out.num, out.den = _monic_den(num**n, den**n)
+        return out
 
     def derivative(self):
         return RationalFunction(

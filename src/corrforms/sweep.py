@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,6 +20,16 @@ from .geometry import RationalMap, ramification_places
 from .invariance import Correspondence, _solver_inputs, find_primitive
 from .poly import Polynomial, gcd_monic, squarefree_decompose
 from .ratfunc import RationalFunction
+
+
+def ProcessPoolExecutor(max_workers):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use.
+
+    Its import loads multiprocessing, which only a parallel sweep needs.
+    """
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 def primes_in_range(lo, hi):

@@ -168,6 +168,34 @@ def test_sweep_jobs_flag_is_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_sweep_reads_corrforms_jobs_on_every_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process, so --jobs must not take its
+    # default from the environment at build time.  A recording sweep stands
+    # in for the real one, so no process is started.
+    import importlib
+
+    cli = importlib.import_module("corrforms.cli")
+    widths = []
+
+    def recording_sweep(corr, pmin, pmax, jobs):
+        widths.append(jobs)
+        return sweep(corr, pmin, pmax, jobs=1)
+
+    monkeypatch.setattr(cli, "sweep", recording_sweep)
+    path = write_doc(tmp_path, "doc.json", CUBIC_PAIR)
+    argv = ("sweep", path, "--pmin", "29", "--pmax", "60")
+    outs = []
+    for value in ("3", "1", "junk", "-2"):
+        monkeypatch.setenv("CORRFORMS_JOBS", value)
+        outs.append(run_cli(capsys, *argv))
+    outs.append(run_cli(capsys, *argv, "--jobs", "2"))
+    monkeypatch.delenv("CORRFORMS_JOBS")
+    outs.append(run_cli(capsys, *argv))
+    assert widths == [3, 1, 1, 1, 2, 1]
+    assert len(set(outs)) == 1 and outs[0][0] == 0
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_sweep_bad_range(tmp_path, capsys):
     path = write_doc(tmp_path, "doc.json", CUBIC_PAIR)
     code, out, err = run_cli(capsys, "sweep", path, "--pmin", "50", "--pmax", "20")
