@@ -118,7 +118,10 @@ def cmd_decompose(args):
 
 
 def cmd_bound(args):
-    value = genus_conductor_bound(args.gx, args.gy, args.d1, args.d2)
+    try:
+        value = genus_conductor_bound(args.gx, args.gy, args.d1, args.d2)
+    except ValueError as exc:
+        raise InputFormatError(f"bound: {exc}") from exc
     _emit({"bound": scalar_str(value)})
 
 

@@ -9,7 +9,7 @@ or adds divisors, so the local order identity is checked as the divisor
 equation div(sigma^* omega) = sigma^* div(omega) + nu R_sigma.
 
 Ramification is computed in two charts:
-  * affine places, poles included: zeros of the Wronskian A'B - AB', refined
+  * affine places, poles included: zeros of the Wronskian of A/B, refined
     by truncated Taylor coefficients so indices are exact in any
     characteristic (at a pole B vanishes, so the first nonzero coefficient
     -A B^[j] sits at j = the pole order, and a simple pole is no zero);
@@ -25,8 +25,8 @@ from .errors import (
     InseparableMap,
     WildRamification,
 )
-from .poly import Polynomial, gcd_monic, squarefree_decompose
-from .ratfunc import RationalFunction, compose_with_quotient
+from .poly import Polynomial, compose_with_quotient, gcd_monic, squarefree_decompose
+from .ratfunc import RationalFunction, _wronskian
 
 
 class RationalMap:
@@ -85,12 +85,6 @@ class RationalMap:
 
     def __repr__(self):
         return f"RationalMap({self.body!r})"
-
-
-def _wronskian(body):
-    """A'B - AB' for body = A/B: the numerator of body' before reduction."""
-    a_poly, b_poly = body.num, body.den
-    return a_poly.derivative() * b_poly - a_poly * b_poly.derivative()
 
 
 class MobiusTransform:

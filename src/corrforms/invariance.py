@@ -5,9 +5,9 @@ line over one field.  A form omega is semi-invariant when
 sigma1^* omega = lambda * sigma2^* omega for a nonzero scalar lambda.
 
 The solvers search the two flat shapes dt/(t-a) and (dt)^2/(t^2 - s t + q)
-for polynomial pairs with deg sigma1 > deg sigma2; leading-coefficient
-comparison pins lambda to d1/d2 (resp. its square), after which a / (s, q)
-are forced by exact division / an exact rank-2 linear system.
+for polynomial pairs with deg sigma1 > deg sigma2.  Both are (dt)^nu / h,
+h monic of degree nu; leading coefficients pin lambda to (d1/d2)^nu, and
+one triangular linear system then forces the coefficients of h.
 """
 
 from __future__ import annotations
@@ -139,49 +139,47 @@ def _solver_inputs(corr):
     return corr.sigma1.polynomial, corr.sigma2.polynomial
 
 
-def solve_weight1_flat(corr):
-    """Find dt/(t-a) with sigma1^* = lambda sigma2^*, or None.
+def _solve_flat(corr, nu):
+    """([c_0, ..., c_{nu-1}], lambda) for a semi-invariant (dt)^nu / h, h monic, or None.
 
-    The functional equation is sigma1'(sigma2 - a) = lambda sigma2'(sigma1 - a)
-    with lambda = d1/d2 pinned by leading coefficients, so a is the exact
-    constant quotient of two explicit polynomials.
+    With lambda = (d1/d2)^nu pinned by leading coefficients, the equation
+    sigma1'^nu h(sigma2) = lambda sigma2'^nu h(sigma1) is linear in h:
+    sum_{i<nu} c_i U_i = -U_nu for U_i = sigma1'^nu sigma2^i - lambda sigma2'^nu sigma1^i.
+    As p divides neither degree, deg U_i = nu (d1 - 1) + i d2 for i < nu: the
+    pivots are distinct, so the system is triangular.  The c_i are read off
+    from the top down, and only a zero residue is a solution.
     """
     s1, s2 = _solver_inputs(corr)
-    field = corr.field
-    lam = field.scalar(corr.d1) / field.scalar(corr.d2)
-    n_poly = s1.derivative() * s2 - lam * (s1 * s2.derivative())
-    d_poly = s1.derivative() - lam * s2.derivative()
-    if n_poly.is_zero:
-        return Weight1Solution(field.zero(), lam)
-    quot, rem = divmod(n_poly, d_poly)
-    if not rem.is_zero or quot.degree != 0:
+    lam = (corr.field.scalar(corr.d1) / corr.field.scalar(corr.d2)) ** nu
+    left, right = s1.derivative() ** nu, lam * s2.derivative() ** nu
+    cols = [left - right]
+    for _ in range(nu):
+        left, right = left * s2, right * s1
+        cols.append(left - right)
+    residue, coeffs = cols.pop(), []
+    for col in reversed(cols):
+        coeffs.insert(0, -residue.coefficient(col.degree) / col.leading)
+        residue = residue + col * coeffs[0]
+    return (coeffs, lam) if residue.is_zero else None
+
+
+def solve_weight1_flat(corr):
+    """Find dt/(t-a) with sigma1^* = lambda sigma2^*, lambda = d1/d2, or None."""
+    found = _solve_flat(corr, 1)
+    if found is None:
         return None
-    return Weight1Solution(quot.coefficient(0), lam)
+    (c0,), lam = found
+    return Weight1Solution(-c0, lam)
 
 
 def solve_weight2_flat(corr):
-    """Find (dt)^2/(t^2 - s t + q) with ratio lambda = (d1/d2)^2, or None.
-
-    Expanding sigma1'^2 (sigma2^2 - s sigma2 + q) = lambda sigma2'^2 (...)
-    gives M = s U - q V over coefficient vectors.  U and V have distinct
-    degrees with nonvanishing leading terms, so the system has rank 2: the
-    two pivot rows determine (s, q) and the full vector is then verified.
-    """
-    s1, s2 = _solver_inputs(corr)
-    field = corr.field
-    lam = (field.scalar(corr.d1) / field.scalar(corr.d2)) ** 2
-    ds1, ds2 = s1.derivative(), s2.derivative()
-    p1sq, p2sq = ds1 * ds1, ds2 * ds2
-    m_vec = p1sq * (s2 * s2) - lam * (p2sq * (s1 * s1))
-    u_vec = p1sq * s2 - lam * (p2sq * s1)
-    v_vec = p1sq - lam * p2sq
-    iu, iv = u_vec.degree, v_vec.degree
-    s = m_vec.coefficient(iu) / u_vec.leading
-    q = (s * u_vec.coefficient(iv) - m_vec.coefficient(iv)) / v_vec.leading
-    if m_vec != u_vec * s - v_vec * q:
+    """Find (dt)^2/(t^2 - s t + q) with ratio (d1/d2)^2, or None; degenerate if s^2 = 4q."""
+    found = _solve_flat(corr, 2)
+    if found is None:
         return None
-    degenerate = s * s == 4 * q
-    return Weight2Solution(s, q, lam, degenerate)
+    (q, c1), lam = found
+    s = -c1
+    return Weight2Solution(s, q, lam, s * s == 4 * q)
 
 
 @dataclass(frozen=True)
@@ -190,7 +188,7 @@ class GroupReport:
 
     status is "trivial" or "cyclic"; complete records whether d1 >= 14*d2,
     the regime where a trivial answer is a proof rather than a caveat.
-    flatness is "weight1", "weight2" or "weight1_square" (degenerate a = b).
+    flatness is "weight1" or "weight2".
     """
 
     status: str

@@ -256,8 +256,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other):
@@ -306,10 +307,7 @@ class Polynomial:
     def compose(self, inner):
         """self(inner) for a polynomial inner."""
         self._check(inner)
-        acc = Polynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        return compose_with_quotient(self, inner, Polynomial.one(self.field), self.degree)
 
     def derivative(self):
         # in characteristic p the i*c factor reduces mod p, so t^p |-> 0
@@ -360,6 +358,23 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self.field!r}: {self}>"
+
+
+def compose_with_quotient(poly, num, den, order):
+    """den**order * poly(num/den) by Horner's rule, a polynomial; needs order >= deg(poly)."""
+    if poly.is_zero:
+        return Polynomial.zero(poly.field)
+    n = len(poly.coeffs) - 1
+    if order < n:
+        raise ValueError("order must be at least deg(poly)")
+    acc = Polynomial.constant(poly.field, poly.coeffs[-1])
+    dpow = Polynomial.one(poly.field)
+    for i in range(n - 1, -1, -1):
+        dpow = dpow * den
+        acc = acc * num + poly.coeffs[i] * dpow
+    for _ in range(order - n):
+        acc = acc * den
+    return acc
 
 
 def gcd_monic(a, b):

@@ -2,24 +2,13 @@
 
 from __future__ import annotations
 
-from .poly import Polynomial, gcd_monic
+from .poly import Polynomial, compose_with_quotient, gcd_monic
 
 
-def compose_with_quotient(poly, num, den, order):
-    """Return den**order * poly(num/den), a polynomial; needs order >= deg(poly)."""
-    if poly.is_zero:
-        return Polynomial.zero(poly.field)
-    n = len(poly.coeffs) - 1
-    if order < n:
-        raise ValueError("order must be at least deg(poly)")
-    acc = Polynomial.constant(poly.field, poly.coeffs[-1])
-    dpow = Polynomial.one(poly.field)
-    for i in range(n - 1, -1, -1):
-        dpow = dpow * den
-        acc = acc * num + poly.coeffs[i] * dpow
-    for _ in range(order - n):
-        acc = acc * den
-    return acc
+def _wronskian(body):
+    """A'B - AB' for body = A/B: the numerator of body' before reduction."""
+    num, den = body.num, body.den
+    return num.derivative() * den - num * den.derivative()
 
 
 def _monic_den(num, den):
@@ -150,10 +139,7 @@ class RationalFunction:
         return out
 
     def derivative(self):
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        return RationalFunction(_wronskian(self), self.den * self.den)
 
     def compose(self, inner):
         """self(inner(t)) for a RationalFunction inner."""

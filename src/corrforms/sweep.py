@@ -4,7 +4,7 @@ Good reduction at p means: no coefficient denominator divisible by p, both
 degrees preserved, numerator and denominator still coprime, and the reduced
 maps separable and tame.  Skip reasons are values, never exceptions, so a
 sweep cannot abort half way; entries are computed by a pure per-prime
-function and sorted by p, making the report independent of --jobs.
+function and come back in prime order: the report is independent of --jobs.
 """
 
 from __future__ import annotations
@@ -152,7 +152,6 @@ def sweep(corr, pmin, pmax, jobs=1):
             entries = list(pool.map(work, primes))
     else:
         entries = [work(p) for p in primes]
-    entries.sort(key=lambda e: e.p)
     return SweepReport(tuple(entries))
 
 

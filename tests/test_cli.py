@@ -294,6 +294,18 @@ def test_bound_equal_degrees_rejected(capsys):
     assert "d1" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--gx", "-1"), ("--d1", "0"), ("--d2", "-1")],
+)
+def test_bound_rejects_bad_genus_or_degree(capsys, flag, value):
+    flags = {"--gx": "0", "--gy": "0", "--d1": "5", "--d2": "2", flag: value}
+    code, out, err = run_cli(capsys, "bound", *[x for pair in flags.items() for x in pair])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_gen_multiplicative_feeds_detect(tmp_path, capsys):
     code, out, err = run_cli(capsys, "gen", "multiplicative", "--m", "5", "--h", "2")
     assert code == 0

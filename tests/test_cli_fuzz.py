@@ -2,11 +2,12 @@
 
 Documents are built from small coefficient literals, polynomial or num/den
 maps, an optional form, field and Mobius change, and pushed through
-`check`, `detect`, `decompose` and `sweep`.  A successful run must print
-only JSON lines; no input may escape with a traceback.  The draws are
-weighted toward documents that pass parsing and the preconditions, so that
-most runs reach the mathematics: more than half of the documents exit 0
-under every command.
+`check`, `detect`, `decompose` and `sweep`; `bound` gets small integers,
+negative ones included.  A successful run must print only JSON lines; no
+input may escape with a traceback.  The draws are weighted toward
+documents that pass parsing and the preconditions, so that most runs
+reach the mathematics: more than half of the documents exit 0 under every
+command.
 """
 
 import contextlib
@@ -89,3 +90,15 @@ def test_cli_exit_codes_and_json_output(tmp_path_factory, doc, pmin, span):
         if code == 0:
             for line in out.splitlines():
                 json.loads(line)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(values=st.lists(st.integers(-3, 20), min_size=4, max_size=4))
+def test_cli_bound_exit_codes(values):
+    argv = ["bound"]
+    for flag, value in zip(("--gx", "--gy", "--d1", "--d2"), values):
+        argv += [flag, str(value)]
+    code, out = run(argv)
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        json.loads(out)

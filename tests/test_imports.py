@@ -1,7 +1,9 @@
-"""Every module of the package uses every name it imports, and importing
-the package loads no process pool.
+"""Every module of the package uses every name it imports, every private
+module-level helper has a caller, no module-level function or class is
+defined in two modules, and importing the package loads no process pool.
 
-The package's __init__ is exempt: it imports names to re-export them.
+The package's __init__ is exempt from the import check: it imports names
+to re-export them.
 """
 
 import ast
@@ -36,6 +38,53 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+PACKAGE_TREES = {
+    path.name: ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted(Path(corrforms.__file__).parent.glob("*.py"))
+}
+
+
+def definitions(tree):
+    """Module-level functions and classes."""
+    return [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def references(tree, skip=None):
+    """Names read or attributes taken anywhere in tree, outside the node skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_dead_private_helpers():
+    dead = []
+    for name, tree in PACKAGE_TREES.items():
+        for node in definitions(tree):
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            # a recursive call inside the helper itself does not count
+            if not any(node.name in references(other, node) for other in PACKAGE_TREES.values()):
+                dead.append(f"{name}:{node.name}")
+    assert not dead, f"private helpers without a caller: {dead}"
+
+
+def test_no_definition_in_two_modules():
+    # a helper moved to another module must not stay behind in the old one
+    homes = {}
+    for name, tree in PACKAGE_TREES.items():
+        for node in definitions(tree):
+            homes.setdefault(node.name, []).append(name)
+    twice = {helper: names for helper, names in homes.items() if len(names) > 1}
+    assert not twice, f"defined in more than one module: {twice}"
 
 
 def test_import_does_not_load_multiprocessing():

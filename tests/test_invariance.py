@@ -6,6 +6,7 @@ and ratio (d1/d2)^2; the cubic pair (t^3 + t, t) admits neither.  Bound
 values were evaluated by hand from the closed formulas.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from corrforms.errors import (
     WildRamification,
 )
 from corrforms.field import GF, QQ, FpElement
-from corrforms.geometry import MobiusTransform, RationalMap, is_tame, mobius_conjugate
+from corrforms.geometry import DifferentialForm, MobiusTransform, RationalMap, is_tame, mobius_conjugate
 from corrforms.invariance import (
     Correspondence,
     affine_conductor_guard,
@@ -192,6 +193,39 @@ def test_solve_weight2_shifted():
     assert sol.ratio == 4 and not sol.degenerate
     eta = flat_form_weight2(QQ, sol.s, sol.q)
     assert semi_invariance_ratio(c, eta) == 4
+
+
+def test_flat_solvers_match_brute_force_over_f7():
+    # over F_7 every monic h of degree 1 or 2 can be tried: (dt)^nu / h is
+    # semi-invariant exactly for the h the solvers return, if any
+    p = 7
+    field = GF(p)
+    rng = random.Random(47)
+    t = fp(p, 0, 1)
+    pairs = [
+        (chebyshev(4, field), chebyshev(2, field)),
+        (chebyshev(5, field), chebyshev(3, field)),
+        (chebyshev(4, field).compose(t + 3) - 3, chebyshev(3, field).compose(t + 3) - 3),
+        ((t - 2) ** 3 + 2, (t - 2) ** 2 + 2),
+        ((t**2 + 1) ** 3, t**2 + 1),
+    ]
+    while len(pairs) < 14:
+        d1 = rng.choice([3, 4, 5])
+        d2 = rng.randint(1, d1 - 1)
+        pairs.append((random_separable_poly(rng, field, d1), random_separable_poly(rng, field, d2)))
+    hits = {1: 0, 2: 0}
+    for s1, s2 in pairs:
+        c = corr(s1, s2)
+        w1, w2 = solve_weight1_flat(c), solve_weight2_flat(c)
+        for nu, found in ((1, w1 and [-w1.a]), (2, w2 and [w2.q, -w2.s])):
+            brute = [
+                list(h)
+                for h in itertools.product(range(p), repeat=nu)
+                if semi_invariance_ratio(c, DifferentialForm(rf(fp(p, 1), fp(p, *h, 1)), nu)) is not None
+            ]
+            assert brute == ([[x.residue for x in found]] if found else []), (s1, s2, nu)
+            hits[nu] += bool(found)
+    assert hits[1] >= 2 and hits[2] >= 3
 
 
 # ------------------------------------------------------------------- detection

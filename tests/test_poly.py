@@ -53,6 +53,26 @@ def test_arithmetic_frozen():
     assert (-t).coeffs == (Fraction(0), Fraction(-1))
 
 
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # binary powering: one product per set bit and one squaring per later bit
+    f = qp(1, 2, 1)
+    products = [Polynomial.one(QQ)]
+    for _ in range(17):
+        products.append(products[-1] * f)
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for n, expected in enumerate(products):
+        calls.clear()
+        assert f**n == expected
+        assert len(calls) == (n.bit_count() + n.bit_length() - 1 if n else 0), n
+
+
 def test_divmod_exact():
     t = qp(0, 1)
     f = t**3 - 2 * t + 5
