@@ -3,7 +3,7 @@
 The CLI is a thin adapter: each subcommand parses JSON, calls one library
 entry point and renders its result; no mathematics happens here.  Exit
 codes: 0 on success (a trivial group or an absent form is still success),
-2 on usage/parse errors, 3 on violated mathematical preconditions.
+2 on usage/parse errors, 3 on violated mathematical preconditions, 4 on a bug.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from .serialize import (
     sweep_summary_to_json,
 )
 from .sweep import chebyshev, decompose_power_pair, multiplicative_pair, sweep
+
+
+_MAX_PRIME_RANGE = 10**6  # sweep tests every integer of [pmin, pmax] for primality
 
 
 def _emit(obj):
@@ -94,6 +97,8 @@ def cmd_sweep(args):
         raise InputFormatError(f"--pmin {args.pmin} exceeds --pmax {args.pmax}")
     if args.pmax >= MAX_PRIME_MODULUS:
         raise InputFormatError(f"--pmax {args.pmax} must be below 2**31")
+    if args.pmax - args.pmin > _MAX_PRIME_RANGE:
+        raise InputFormatError(f"--pmax - --pmin must be at most {_MAX_PRIME_RANGE}")
     # read per call, not when the cached parser was built
     jobs = _default_jobs() if args.jobs is None else args.jobs
     if jobs < 1:
@@ -219,6 +224,9 @@ def main(argv=None):
     except (CorrformsError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (AssertionError, RuntimeError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -368,7 +368,7 @@ def ramification_places(sigma):
     else:
         rev_a = Polynomial(field, list(reversed(a_poly.coeffs)))
         rev_b = Polynomial(field, list(reversed(b_poly.coeffs)))
-        psi = rev_a * rev_b.coefficient(0) - rev_b * rev_a.coefficient(0)
+        psi = rev_a._scaled(rev_b.coeffs[0]) - rev_b._scaled(rev_a.coeffs[0])
         e_inf = next(i for i, c in enumerate(psi.coeffs) if c)
         image_infinite, image_value = False, a_poly.leading / b_poly.leading
 

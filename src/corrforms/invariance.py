@@ -33,7 +33,7 @@ from .geometry import (
     pullback,
     ramification_divisor,
 )
-from .poly import Polynomial
+from .poly import Polynomial, _inverse
 from .ratfunc import RationalFunction
 
 
@@ -150,7 +150,8 @@ def _solve_flat(corr, nu):
     from the top down, and only a zero residue is a solution.
     """
     s1, s2 = _solver_inputs(corr)
-    lam = (corr.field.scalar(corr.d1) / corr.field.scalar(corr.d2)) ** nu
+    field = corr.field
+    lam = field.raw(Fraction(corr.d1, corr.d2) ** nu)
     left, right = s1.derivative() ** nu, lam * s2.derivative() ** nu
     cols = [left - right]
     for _ in range(nu):
@@ -158,9 +159,10 @@ def _solve_flat(corr, nu):
         cols.append(left - right)
     residue, coeffs = cols.pop(), []
     for col in reversed(cols):
-        coeffs.insert(0, -residue.coefficient(col.degree) / col.leading)
-        residue = residue + col * coeffs[0]
-    return (coeffs, lam) if residue.is_zero else None
+        r = residue.coeffs[col.degree] if col.degree < len(residue.coeffs) else 0
+        coeffs.insert(0, field.raw(-r * _inverse(col.coeffs[-1], field.characteristic)))
+        residue = residue + col._scaled(coeffs[0])
+    return ([field.wrap(c) for c in coeffs], field.wrap(lam)) if residue.is_zero else None
 
 
 def solve_weight1_flat(corr):

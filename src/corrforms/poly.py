@@ -9,9 +9,10 @@ Storage contract: ``coeffs`` holds the field's raw values (see field.py),
 Fractions over Q and plain int residues in [0, p) over F_p.  Both fields
 multiply by Kronecker substitution on integers: F_p on the residues, then
 ``% p``; Q on the numerators over one common denominator, then back to
-Fractions.  The other Q kernels (division, gcd) are Fraction loops, and Q
-storage stays Fraction.  The public scalar FpElement appears only where a
-value leaves a polynomial: ``leading``, ``coefficient`` and evaluation.
+Fractions.  Division is one schoolbook kernel for both fields; it, ``monic``
+and the callers in ratfunc.py and invariance.py invert raw scalars through
+``_inverse``.  The public scalar FpElement appears only where a value leaves
+a polynomial: ``leading``, ``coefficient`` and evaluation.
 """
 
 from __future__ import annotations
@@ -97,29 +98,37 @@ def _mul_qq(a, b):
     return [Fraction(c, d) for c in _kronecker_mul(na, nb, bound, signed=True)]
 
 
-def _divmod_fp(a, b, p):
-    """Schoolbook division of residue tuples mod p, with len(a) >= len(b).
+def _inverse(r, p):
+    """The inverse of a nonzero raw scalar: a residue mod p, or a Fraction when p = 0."""
+    return pow(r, -1, p) if p else 1 / r
 
-    A two-term quotient, the usual Euclid step, is read off the top
-    coefficients and the remainder is built in one pass.  Otherwise the
-    remainder is reduced only where a quotient coefficient is read off and
-    once at the end; in between its entries may leave [0, p).
+
+def _divmod_raw(a, b, p):
+    """Schoolbook division of raw coefficient tuples.
+
+    One loop serves both fields: Fractions over Q (p = 0) and residues over
+    F_p, where the quotient is reduced mod p and the caller reduces the
+    remainder.  A two-term quotient, the usual Euclid step, is read off the
+    top coefficients and the remainder is built in one pass.
     """
     dv = len(b) - 1
     n = len(a) - dv
-    inv = pow(b[-1], -1, p)
+    inv = _inverse(b[-1], p)
     if n == 2 and dv:
-        hi = a[-1] * inv % p
-        lo = (a[-2] - hi * b[-2]) * inv % p
-        return [lo, hi], [(x - lo * y - hi * z) % p for x, y, z in zip(a[:dv], b, (0,) + b)]
-    rem = list(a)
-    quot = [0] * n
+        hi = a[-1] * inv
+        lo = (a[-2] - hi * b[-2]) * inv
+        if p:
+            hi, lo = hi % p, lo % p
+        return [lo, hi], [x - lo * y - hi * z for x, y, z in zip(a[:dv], b, (0,) + b)]
+    quot, rem = [0] * n, list(a)
     for k in range(n - 1, -1, -1):
-        c = rem[k + dv] * inv % p
+        c = rem[k + dv] * inv
+        if p:
+            c %= p
+        quot[k] = c
         if c:
-            quot[k] = c
             rem[k : k + dv] = [r - c * bj for r, bj in zip(rem[k : k + dv], b)]
-    return quot, [r % p for r in rem[:dv]]
+    return quot, rem[:dv]
 
 
 class Polynomial:
@@ -267,23 +276,8 @@ class Polynomial:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self.coeffs) < len(other.coeffs):
-            return Polynomial.zero(self.field), self
-        p = self.field.characteristic
-        if p:
-            quot, rem = _divmod_fp(self.coeffs, other.coeffs, p)
-            return Polynomial._make(self.field, quot), Polynomial._make(self.field, rem)
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        inv_lead = self.field.one() / other.leading
-        quot = [self.field.zero()] * (dd - dv + 1)
-        for k in range(dd - dv, -1, -1):
-            c = rem[k + dv] * inv_lead
-            if c:
-                quot[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Polynomial._make(self.field, quot), Polynomial._make(self.field, rem[:dv])
+        quot, rem = _divmod_raw(self.coeffs, other.coeffs, self.field.characteristic)
+        return Polynomial._make(self.field, quot), self._reduced(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -296,12 +290,10 @@ class Polynomial:
         x = field.raw(x)
         acc = field.raw(0)
         p = field.characteristic
-        if p:
-            for c in reversed(self.coeffs):
-                acc = (acc * x + c) % p
-        else:
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+            if p:
+                acc %= p
         return field.wrap(acc)
 
     def compose(self, inner):
@@ -327,8 +319,7 @@ class Polynomial:
         lead = self.coeffs[-1]
         if lead == 1:
             return self
-        p = self.field.characteristic
-        return self._scaled(pow(lead, -1, p) if p else 1 / lead)
+        return self._scaled(_inverse(lead, self.field.characteristic))
 
     def sort_key(self):
         return (len(self.coeffs), self.coeffs)

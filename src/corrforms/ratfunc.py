@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .poly import Polynomial, compose_with_quotient, gcd_monic
+from .poly import Polynomial, _inverse, compose_with_quotient, gcd_monic
 
 
 def _wronskian(body):
@@ -13,10 +13,8 @@ def _wronskian(body):
 
 def _monic_den(num, den):
     """num/den rescaled so that den is monic."""
-    inv = num.field.one() / den.leading
-    if inv != num.field.one():
-        num, den = num * inv, den * inv
-    return num, den
+    inv = _inverse(den.coeffs[-1], num.field.characteristic)
+    return (num, den) if inv == 1 else (num._scaled(inv), den._scaled(inv))
 
 
 class RationalFunction:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from corrforms import geometry, invariance
-from corrforms.field import QQ, GF
+from corrforms.field import QQ, GF, FpElement
 from corrforms.poly import Polynomial
 from corrforms.ratfunc import RationalFunction
 
@@ -106,6 +106,20 @@ def count_check_quantities(monkeypatch):
     init = invariance.Correspondence.__init__
     monkeypatch.setattr(invariance.Correspondence, "__init__", counted("Correspondence", init))
     return calls
+
+
+@pytest.fixture
+def count_fp_elements(monkeypatch):
+    """Record the modulus of every FpElement constructed; len() is the count."""
+    made = []
+    init = FpElement.__init__
+
+    def counted(self, residue, p):
+        made.append(p)
+        init(self, residue, p)
+
+    monkeypatch.setattr(FpElement, "__init__", counted)
+    return made
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -208,6 +208,7 @@ def test_sweep_bad_range(tmp_path, capsys):
         ("--pmin", "2", "--pmax", "10", "--jobs", "0"),
         ("--pmin", "2", "--pmax", "10", "--jobs", "-3"),
         ("--pmin", "2147483640", "--pmax", "2147483700"),
+        ("--pmin", "2", "--pmax", "2147483647"),  # a valid modulus, but 2**31 integers to test
     ],
 )
 def test_sweep_rejects_bad_jobs_and_prime_cap(tmp_path, capsys, bad):
@@ -380,3 +381,25 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"bound": "4"}
+
+
+@pytest.mark.parametrize(
+    "command, doc, patch, message",
+    [
+        # a zero Taylor coefficient never splits a cluster: its index passes the degree
+        ("check", CUBIC_PAIR, ("corrforms.poly.Polynomial.hasse_derivative", lambda self, j: self * 0),
+         "ramification index exceeded map degree"),
+        ("detect", CHEB_SHIFTED, ("corrforms.geometry.RationalMap.compose", lambda self, other: other),
+         "conjugation changed the degree"),
+        # (t^3, t^2) has the degenerate weight-2 form (dt)^2/t^2 once dt/t is hidden
+        ("detect", {"sigma1": ["0", "0", "0", "1"], "sigma2": ["0", "0", "1"]},
+         ("corrforms.invariance.solve_weight1_flat", lambda corr: None),
+         "degenerate weight-2 solution without a weight-1 one"),
+    ],
+    ids=["ramification_places", "mobius_conjugate", "find_primitive"],
+)
+def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, command, doc, patch, message):
+    monkeypatch.setattr(*patch)
+    path = write_doc(tmp_path, "doc.json", doc)
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out, err) == (4, "", f"internal error: {message}\n")

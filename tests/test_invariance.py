@@ -231,6 +231,25 @@ def test_flat_solvers_match_brute_force_over_f7():
 # ------------------------------------------------------------------- detection
 
 
+@pytest.mark.parametrize(
+    "sigma1, sigma2, made",
+    [
+        ([0, 0, 0, 1], [0, 0, 1], (3, 7)),  # (t^3, t^2): dt/t, and degenerate (dt)^2/t^2
+        ([0, -3, 0, 1], [-2, 0, 1], (0, 7)),  # Chebyshev (T3, T2): (dt)^2/(t^2 - 4)
+        ([1, 2, 0, 1], [0, 0, 1], (0, 0)),  # no flat form
+    ],
+)
+def test_flat_solvers_box_only_their_results(count_fp_elements, sigma1, sigma2, made):
+    # weight 1 boxes c0, lambda and a = -c0; weight 2 boxes q, c1, lambda and s = -c1,
+    # and s * s == 4 * q makes three more; a miss makes none
+    corr = Correspondence(fp(101, *sigma1), fp(101, *sigma2))
+    for solve, expected in zip((solve_weight1_flat, solve_weight2_flat), made):
+        del count_fp_elements[:]
+        found = solve(corr)
+        assert len(count_fp_elements) == expected
+        assert (found is None) == (expected == 0)
+
+
 def test_find_primitive_weight1():
     rep = find_primitive(t_pair(3, 1))
     assert rep.status == "cyclic" and rep.weight == 1

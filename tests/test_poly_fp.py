@@ -16,6 +16,7 @@ from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_sqf_list
 from corrforms.errors import FieldMismatch, WildInput
 from corrforms.field import GF, QQ, FpElement
 from corrforms.poly import Polynomial, gcd_monic, squarefree_decompose
+from corrforms.ratfunc import RationalFunction
 from corrforms.serialize import poly_to_json
 
 PRIMES = (2, 3, 5, 1009, 2147483647)
@@ -118,3 +119,16 @@ def test_fp_storage_contract():
         f(FpElement(1, 5))
     assert str(f) == "6*t^3 + t^2 + 4*t + 3"
     assert poly_to_json(f) == ["3", "4", "1", "6"]
+
+
+def test_kernels_create_no_fp_element(count_fp_elements):
+    # raw residues all the way: an FpElement is made only where a value is returned
+    f101 = GF(101)
+    rng = random.Random("boxing")
+    for _ in range(20):
+        a, b = random_fp(rng, 101, rng.randint(0, 12)), random_fp(rng, 101, rng.randint(1, 8))
+        divmod(a, b), divmod(a * b, b), gcd_monic(a * b, b * b), a.monic()
+        den = Polynomial(f101, [rng.randrange(101) for _ in range(4)] + [rng.randrange(2, 101)])
+        RationalFunction(a * b, den)
+        RationalFunction(a, den * b)
+    assert count_fp_elements == []

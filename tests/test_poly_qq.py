@@ -1,4 +1,4 @@
-"""Q polynomial multiplication against sympy's dense arithmetic.
+"""Q polynomial multiplication, division and gcd against sympy's dense arithmetic.
 
 Over Q a Polynomial stores Fractions and multiplies their numerators over
 one common denominator by Kronecker substitution with signed slots.  Seeded
@@ -7,17 +7,23 @@ operands of degree 0..80 with numerator and denominator heights up to
 and scalars are compared with sympy.polys.densearith.dup_mul over QQ; the
 extreme operands put +-bound, the largest value a slot must hold, into every
 product coefficient.
+
+Division and the monic gcd are compared with dup_div and dup_gcd over QQ on
+seeded operands of degree 0..40 and the same heights: two-term quotients
+(the Euclid step), constant, monic and non-monic divisors, divisors longer
+than the dividend, and gcd inputs with a planted common factor or none.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from sympy.polys.densearith import dup_mul
+from sympy.polys.densearith import dup_div, dup_mul
 from sympy.polys.domains import QQ as SQQ
+from sympy.polys.euclidtools import dup_gcd
 
 from corrforms.field import QQ
-from corrforms.poly import Polynomial
+from corrforms.poly import Polynomial, gcd_monic
 
 HEIGHTS = (1, 2**7, 2**31, 2**64, 2**100)
 
@@ -90,3 +96,46 @@ def test_mul_by_scalars_zero_and_one():
         assert a * 3 == 3 * a == a * Fraction(3) == a + a + a
         assert a * one == one * a == a
         assert (a * zero).is_zero and (zero * a).is_zero and (a * 0).is_zero
+
+
+def division_pairs(height):
+    rng = random.Random(f"divmod:{height}")
+    pairs = []
+    for _ in range(8):
+        a = random_qq(rng, rng.randint(0, 40), height)
+        pairs.append((a, random_qq(rng, rng.randint(0, a.degree), height)))
+        pairs.append((a, random_qq(rng, a.degree + rng.randint(1, 3), height)))  # quotient 0
+        pairs.append((a, random_qq(rng, 0, height)))  # constant divisor
+        pairs.append((a, random_qq(rng, rng.randint(0, a.degree), height).monic()))
+        if a.degree >= 1:  # two-term quotient: len(a) == len(b) + 1
+            pairs.append((a, random_qq(rng, a.degree - 1, rng.choice(HEIGHTS))))
+    return pairs
+
+
+@pytest.mark.parametrize("height", HEIGHTS, ids=lambda h: f"2**{h.bit_length() - 1}")
+def test_divmod_matches_dup_div(height):
+    two_term = 0
+    for a, b in division_pairs(height):
+        quot, rem = divmod(a, b)
+        assert (dense(quot), dense(rem)) == dup_div(dense(a), dense(b), SQQ)
+        assert quot * b + rem == a
+        assert all(type(c) is Fraction for c in quot.coeffs + rem.coeffs)
+        two_term += b.degree >= 1 and a.degree == b.degree + 1
+    assert two_term >= 5
+
+
+@pytest.mark.parametrize("height", HEIGHTS, ids=lambda h: f"2**{h.bit_length() - 1}")
+def test_gcd_monic_matches_dup_gcd(height):
+    rng = random.Random(f"gcd:{height}")
+    unit = common = 0
+    for _ in range(6):
+        f = random_qq(rng, rng.randint(1, 8), height)
+        a = f * random_qq(rng, rng.randint(0, 12), height)
+        b = f * random_qq(rng, rng.randint(0, 12), height)
+        for x, y in ((a, b), (random_qq(rng, rng.randint(0, 20), height), b), (a, f)):
+            g = gcd_monic(x, y)
+            assert dense(g) == dup_gcd(dense(x), dense(y), SQQ)
+            assert (x % g).is_zero and (y % g).is_zero
+            unit += g.degree == 0
+            common += g.degree >= f.degree
+    assert unit >= 3 and common >= 6
