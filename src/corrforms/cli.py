@@ -36,10 +36,7 @@ from .serialize import (
     sweep_entry_to_json,
     sweep_summary_to_json,
 )
-from .sweep import chebyshev, decompose_power_pair, multiplicative_pair, sweep
-
-
-_MAX_PRIME_RANGE = 10**6  # sweep tests every integer of [pmin, pmax] for primality
+from .sweep import _MAX_PRIME_RANGE, chebyshev, decompose_power_pair, multiplicative_pair, sweep
 
 
 def _emit(obj):

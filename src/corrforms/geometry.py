@@ -25,7 +25,7 @@ from .errors import (
     InseparableMap,
     WildRamification,
 )
-from .poly import Polynomial, compose_with_quotient, gcd_monic, squarefree_decompose
+from .poly import Polynomial, _inverse, compose_with_quotient, gcd_monic, squarefree_decompose
 from .ratfunc import RationalFunction, _wronskian
 
 
@@ -370,7 +370,8 @@ def ramification_places(sigma):
         rev_b = Polynomial(field, list(reversed(b_poly.coeffs)))
         psi = rev_a._scaled(rev_b.coeffs[0]) - rev_b._scaled(rev_a.coeffs[0])
         e_inf = next(i for i, c in enumerate(psi.coeffs) if c)
-        image_infinite, image_value = False, a_poly.leading / b_poly.leading
+        lead = a_poly.coeffs[-1] * _inverse(b_poly.coeffs[-1], field.characteristic)
+        image_infinite, image_value = False, field.wrap(field.raw(lead))
 
     entries.sort(key=lambda ge: ge[0].sort_key())
     return RamificationPlaces(tuple(entries), e_inf, image_infinite, image_value)

@@ -97,12 +97,15 @@ def flat_form_weight2(field, s, q):
 
 def semi_invariance_ratio(corr, omega):
     """lambda with sigma1^* omega = lambda sigma2^* omega, or None."""
-    w1 = pullback(corr.sigma1, omega)
-    w2 = pullback(corr.sigma2, omega)
-    ratio = w1.coeff / w2.coeff
-    if ratio.is_constant:
-        return ratio.constant_value()
-    return None
+    w1 = pullback(corr.sigma1, omega).coeff
+    w2 = pullback(corr.sigma2, omega).coeff
+    # reduced with monic denominators, so w1 = lambda w2 exactly when the
+    # denominators agree and w1.num = lambda w2.num: no quotient to build
+    if w1.den != w2.den or w1.num.degree != w2.num.degree:
+        return None
+    field = corr.field
+    lam = field.raw(w1.num.coeffs[-1] * _inverse(w2.num.coeffs[-1], field.characteristic))
+    return field.wrap(lam) if w2.num._scaled(lam) == w1.num else None
 
 
 class Weight1Solution(NamedTuple):

@@ -1,4 +1,10 @@
-"""Rational functions in one variable: reduced fractions with monic denominator."""
+"""Rational functions in one variable: reduced fractions with monic denominator.
+
+Only the constructor (user input), ``+`` and ``derivative`` reduce by a full
+gcd.  Other operations take no gcd where no common factor can arise: powers
+and compositions of coprime pairs are coprime, and reduced a/b times c/d is
+reduced once gcd(a, d) and gcd(c, b) are cancelled.
+"""
 
 from __future__ import annotations
 
@@ -12,9 +18,33 @@ def _wronskian(body):
 
 
 def _monic_den(num, den):
-    """num/den rescaled so that den is monic."""
+    """num/den rescaled so that den is monic; 0/den becomes 0/1."""
+    if num.is_zero:
+        return num, Polynomial.one(num.field)
     inv = _inverse(den.coeffs[-1], num.field.characteristic)
     return (num, den) if inv == 1 else (num._scaled(inv), den._scaled(inv))
+
+
+def _coprime(num, den):
+    """The RationalFunction num/den for coprime num and nonzero den; takes no gcd."""
+    out = object.__new__(RationalFunction)
+    out.num, out.den = _monic_den(num, den)
+    return out
+
+
+def _cancel(x, y):
+    """x and y divided by their gcd; a constant or zero shares no factor."""
+    if x.degree <= 0 or y.degree <= 0:
+        return x, y
+    g = gcd_monic(x, y)
+    return (x // g, y // g) if g.degree > 0 else (x, y)
+
+
+def _product(a, b, c, d):
+    """(a c)/(b d) for coprime pairs a, b and c, d: only a, d and c, b can share a factor."""
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return _coprime(a * c, b * d)
 
 
 class RationalFunction:
@@ -30,9 +60,7 @@ class RationalFunction:
         num._check(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = Polynomial.one(num.field)
-        else:
+        if not num.is_zero:
             g = gcd_monic(num, den)
             if g.degree > 0:
                 num, den = num // g, den // g
@@ -85,7 +113,7 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return _coprime(-self.num, self.den)
 
     def _lift(self, other):
         if isinstance(other, RationalFunction):
@@ -110,7 +138,7 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = self._lift(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -118,7 +146,7 @@ class RationalFunction:
         other = self._lift(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
@@ -132,9 +160,7 @@ class RationalFunction:
                 raise ZeroDivisionError("0 has no negative powers")
             num, den, n = den, num, -n
         # powers of coprime polynomials are coprime: no gcd to take
-        out = object.__new__(RationalFunction)
-        out.num, out.den = _monic_den(num**n, den**n)
-        return out
+        return _coprime(num**n, den**n)
 
     def derivative(self):
         return RationalFunction(_wronskian(self), self.den * self.den)
@@ -143,14 +169,14 @@ class RationalFunction:
         """self(inner(t)) for a RationalFunction inner."""
         if not isinstance(inner, RationalFunction):
             inner = RationalFunction(inner)
-        if self.is_zero:
-            return RationalFunction(Polynomial.zero(self.field))
         order = max(len(self.num.coeffs), len(self.den.coeffs)) - 1
         n = compose_with_quotient(self.num, inner.num, inner.den, order)
         d = compose_with_quotient(self.den, inner.num, inner.den, order)
         if d.is_zero:
             raise ZeroDivisionError("composition denominator vanished")
-        return RationalFunction(n, d)
+        # n, d coprime: mod a factor of inner.den one is c * inner.num**order, c != 0,
+        # and any other common factor gives self.num and self.den a common root inner(x)
+        return _coprime(n, d)
 
     def __call__(self, x):
         dv = self.den(x)

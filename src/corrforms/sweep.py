@@ -9,13 +9,14 @@ function and come back in prime order: the report is independent of --jobs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import CorrformsError, InseparableMap, NotPLocalUnit, UnsupportedCharacteristic
-from .field import GF, QQ, is_prime
+from .field import GF, QQ
 from .geometry import RationalMap, ramification_places
 from .invariance import Correspondence, _solver_inputs, find_primitive
 from .poly import Polynomial, gcd_monic, squarefree_decompose
@@ -32,9 +33,22 @@ def ProcessPoolExecutor(max_workers):
     return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
+_MAX_PRIME_RANGE = 10**6  # the widest [pmin, pmax] that sweep accepts
+
+
 def primes_in_range(lo, hi):
-    """Primes p with lo <= p <= hi, ascending."""
-    return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    """Primes p with lo <= p <= hi, ascending: [lo, hi] sieved by the primes to isqrt(hi)."""
+    lo = max(lo, 2)
+    if lo > hi:
+        return []
+    root = math.isqrt(hi)
+    small, window = bytearray([1]) * (root + 1), bytearray([1]) * (hi - lo + 1)
+    for q in range(2, root + 1):
+        if small[q]:
+            small[q * q :: q] = bytes(len(range(q * q, root + 1, q)))
+            start = max(q * q, -(-lo // q) * q) - lo
+            window[start::q] = bytes(len(range(start, len(window), q)))
+    return list(itertools.compress(range(lo, hi + 1), window))
 
 
 def reduce_map_mod_p(sigma, field):
@@ -143,6 +157,8 @@ def sweep(corr, pmin, pmax, jobs=1):
     _solver_inputs(corr)
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError("jobs must be a positive integer")
+    if pmax - pmin > _MAX_PRIME_RANGE:
+        raise ValueError(f"pmax - pmin must be at most {_MAX_PRIME_RANGE}")
     primes = primes_in_range(pmin, pmax)
     work = partial(_sweep_one, corr)
     # a fork pool starts every worker at once: never more than cores or primes

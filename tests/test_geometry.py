@@ -309,6 +309,17 @@ def test_ramification_places_nontrivial():
     assert places.infinity == 2  # deg num = deg den; e comes from the 1/t chart
 
 
+def test_ramification_image_value_boxed_once(count_fp_elements):
+    # sigma(infinity) = 3/7 is one raw quotient, wrapped once; the other
+    # FpElement is the unit of the Wronskian's squarefree decomposition
+    f101 = GF(101)
+    sigma = RationalMap(rf(fp(101, 1, 0, 3), fp(101, 2, 5, 7)))
+    places = ramification_places(sigma)
+    assert len(count_fp_elements) == 2
+    assert places.image_value == f101.scalar(Fraction(3, 7))
+    assert ramification_places(RationalMap(rf(qp(1, 0, 3), qp(2, 5, 7)))).image_value == Fraction(3, 7)
+
+
 def test_ramification_divisor_frozen():
     t = qp(0, 1)
     r = ramification_divisor(RationalMap(t**5))

@@ -1,0 +1,206 @@
+"""RationalFunction operations that skip gcds, against the normalising constructor.
+
+Products, quotients, powers and compositions of reduced operands are built
+without the full gcd of RationalFunction(num, den); each must still return
+exactly what that constructor returns on the unreduced numerator and
+denominator, down to the stored coefficient tuples.  semi_invariance_ratio
+compares the two pullbacks without forming their quotient; it must agree
+with the definition "sigma1^* omega / sigma2^* omega is a constant".
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from corrforms import invariance, ratfunc
+from corrforms.field import GF, QQ
+from corrforms.geometry import DifferentialForm, MobiusTransform, RationalMap, mobius_conjugate, pullback
+from corrforms.invariance import Correspondence, flat_form_weight1, flat_form_weight2, semi_invariance_ratio
+from corrforms.poly import Polynomial, compose_with_quotient, gcd_monic
+from corrforms.ratfunc import RationalFunction
+from corrforms.sweep import chebyshev, multiplicative_pair
+
+FIELDS = [QQ, GF(2), GF(3), GF(7), GF(101)]
+
+
+def random_poly(rng, field, degree):
+    """A polynomial of exactly the given degree (the zero polynomial for degree < 0)."""
+    if degree < 0:
+        return Polynomial.zero(field)
+    while True:
+        f = Polynomial(field, [rng.randint(-9, 9) for _ in range(degree + 1)])
+        if f.degree == degree:
+            return f
+
+
+def random_fraction(rng, field, common=None):
+    """A reduced num/den; common, when given, is planted in num or den."""
+    num = random_poly(rng, field, rng.randint(-1, 4))
+    den = random_poly(rng, field, rng.randint(0, 3))
+    if common is not None:
+        if rng.random() < 0.5:
+            num = num * common
+        else:
+            den = den * common
+    return RationalFunction(num, den)
+
+
+def assert_same(got, want):
+    """Equal under ==, with identical coefficient tuples of identical types."""
+    assert got == want
+    for a, b in ((got.num, want.num), (got.den, want.den)):
+        assert a.coeffs == b.coeffs
+        assert [type(c) for c in a.coeffs] == [type(c) for c in b.coeffs]
+
+
+def compose_by_constructor(f, g):
+    """f(g) through the normalising constructor, as composition was defined before."""
+    order = max(len(f.num.coeffs), len(f.den.coeffs)) - 1
+    n = compose_with_quotient(f.num, g.num, g.den, order)
+    d = compose_with_quotient(f.den, g.num, g.den, order)
+    if d.is_zero:
+        raise ZeroDivisionError("composition denominator vanished")
+    return RationalFunction(n, d)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_products_quotients_powers_match_constructor(field):
+    rng = random.Random(f"products {field!r}")
+    for _ in range(60):
+        # plant one factor that a cross-cancellation has to find
+        common = random_poly(rng, field, rng.randint(1, 2))
+        x, y = random_fraction(rng, field, common), random_fraction(rng, field, common)
+        assert_same(x * y, RationalFunction(x.num * y.num, x.den * y.den))
+        assert_same(x * y.num, RationalFunction(x.num * y.num, x.den))
+        assert_same(x * 3, RationalFunction(x.num * 3, x.den))
+        if not y.is_zero:
+            assert_same(x / y, RationalFunction(x.num * y.den, x.den * y.num))
+            assert_same(x / y.num, RationalFunction(x.num, x.den * y.num))
+        for n in range(-3, 4):
+            if n < 0 and x.is_zero:
+                continue
+            num, den = (x.num, x.den) if n >= 0 else (x.den, x.num)
+            assert_same(x**n, RationalFunction(num ** abs(n), den ** abs(n)))
+        assert_same(-x, RationalFunction(-x.num, x.den))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_compose_matches_constructor(field):
+    rng = random.Random(f"compose {field!r}")
+    zero = RationalFunction(Polynomial.zero(field))
+    checked = 0
+    for _ in range(60):
+        f = random_fraction(rng, field)
+        inner = random_fraction(rng, field)
+        constant = RationalFunction.constant(field, rng.randint(-9, 9))
+        for g in (inner, constant, zero):
+            try:
+                want = compose_by_constructor(f, g)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    f.compose(g)
+                continue
+            assert_same(f.compose(g), want)
+            checked += 1
+        assert_same(zero.compose(inner), zero)
+    assert checked > 100
+
+
+def ratio_by_quotient(corr, omega):
+    """lambda by the definition: sigma1^* omega / sigma2^* omega is a constant."""
+    w1 = pullback(corr.sigma1, omega).coeff
+    w2 = pullback(corr.sigma2, omega).coeff
+    quotient = RationalFunction(w1.num * w2.den, w1.den * w2.num)
+    return quotient.constant_value() if quotient.is_constant else None
+
+
+def semi_invariance_cases():
+    t = Polynomial.variable(QQ)
+    dt_over_t = flat_form_weight1(QQ, 0)
+    chebyshev_form = flat_form_weight2(QQ, 0, -4)
+    yield multiplicative_pair(t, 3, 2), dt_over_t, Fraction(3, 2)
+    # (sigma^m)^* dt/t = m dsigma/sigma for every sigma
+    yield multiplicative_pair(Polynomial(QQ, [1, 2, 0, 1]), 5, 3), dt_over_t, Fraction(5, 3)
+    yield multiplicative_pair(Polynomial(QQ, [0, 2, 1]), 4, 1), flat_form_weight1(QQ, -2), None
+    # (dt/t)^nu for negative nu: t (dt)^-1 and t^2 (dt)^-2
+    for nu in (-1, -2):
+        omega = DifferentialForm(RationalFunction(t ** (-nu)), nu)
+        yield multiplicative_pair(t, 5, 2), omega, Fraction(5, 2) ** nu
+    yield Correspondence(chebyshev(6), chebyshev(2)), chebyshev_form, Fraction(9)
+    yield Correspondence(chebyshev(5), chebyshev(3)), chebyshev_form, Fraction(25, 9)
+    yield Correspondence(chebyshev(5), chebyshev(3)), dt_over_t, None
+    f101 = GF(101)
+    cheb = Correspondence(chebyshev(7, f101), chebyshev(2, f101))
+    yield cheb, flat_form_weight2(f101, 0, -4), f101.scalar(Fraction(49, 4))
+    yield cheb, flat_form_weight1(f101, 0), None
+    # Moebius conjugates are rational maps; the form moves with phi^-1
+    for phi, (m, h) in ((MobiusTransform(QQ, 1, 2, 1, 3), (3, 1)), (MobiusTransform(QQ, 2, 0, 1, 1), (2, 1))):
+        s1 = mobius_conjugate(RationalMap(t**m), phi)
+        s2 = mobius_conjugate(RationalMap(t**h), phi)
+        eta = pullback(phi.inverse().as_map(), dt_over_t)
+        yield Correspondence(s1, s2), eta, Fraction(m, h)
+        yield Correspondence(s1, s2), pullback(phi.inverse().as_map(), chebyshev_form), None
+    # dt pulls back to sigma', so equal-degree pairs give equal denominators
+    sigma = Polynomial(QQ, [1, 1, 1, 1])
+    dt = DifferentialForm(RationalFunction.constant(QQ, 1), 1)
+    yield Correspondence(sigma, Polynomial(QQ, [0, 3, 1, 1])), dt, None
+    yield Correspondence(sigma, sigma * Fraction(2, 7) + 5), dt, Fraction(7, 2)
+    yield Correspondence(sigma, Polynomial(QQ, [4, 1, 0, 1])), dt, None
+
+
+@pytest.mark.parametrize("case", list(semi_invariance_cases()))
+def test_semi_invariance_ratio_matches_quotient_definition(case):
+    corr, omega, expected = case
+    got = semi_invariance_ratio(corr, omega)
+    want = ratio_by_quotient(corr, omega)
+    assert type(got) is type(want)
+    assert got == want == expected
+
+
+def test_semi_invariance_ratio_random_equal_denominators():
+    # equal denominators with numerators of equal degree, proportional or not
+    rng = random.Random("equal denominators")
+    for field in (QQ, GF(101)):
+        dt = DifferentialForm(RationalFunction.constant(field, 1), 1)
+        hits = 0
+        for _ in range(40):
+            sigma = random_poly(rng, field, 4)
+            if sigma.derivative().is_zero:
+                continue
+            if rng.random() < 0.5:
+                other = sigma * rng.randint(1, 9) + rng.randint(-9, 9)
+            else:
+                other = random_poly(rng, field, 4)
+            if other.derivative().is_zero:
+                continue
+            corr = Correspondence(sigma, other)
+            got = semi_invariance_ratio(corr, dt)
+            assert type(got) is type(ratio_by_quotient(corr, dt))
+            assert got == ratio_by_quotient(corr, dt)
+            hits += got is not None
+        assert hits > 5
+
+
+def test_compose_pow_and_ratio_comparison_take_no_gcd(monkeypatch):
+    t = Polynomial.variable(QQ)
+    f = RationalFunction(t**2 + 1, t**3 - 2)
+    inner = RationalFunction(t + 3, t**2 - 5)
+    x, y, four = RationalFunction(t**2 + t), RationalFunction(t**3 - 7), RationalFunction(4 * t**0)
+    corr = Correspondence(chebyshev(6), chebyshev(2))
+    omega = flat_form_weight2(QQ, 0, -4)
+    # pullbacks multiply by a power of sigma', which may cancel: computed here
+    pulled = {id(s): pullback(s, omega) for s in (corr.sigma1, corr.sigma2)}
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd_monic(a, b)
+
+    monkeypatch.setattr(ratfunc, "gcd_monic", counted)
+    monkeypatch.setattr(invariance, "pullback", lambda sigma, form: pulled[id(sigma)])
+    f.compose(inner), f.compose(x), x.compose(f)
+    f**5, f**-3, inner**2
+    x * y, x / four
+    assert semi_invariance_ratio(corr, omega) == 9
+    assert calls == []

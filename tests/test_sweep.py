@@ -7,13 +7,14 @@ derived by hand (p = 3 makes the sextic inseparable, leading coefficients
 vanish when p divides them, and so on).
 """
 
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from corrforms.errors import UnsupportedCharacteristic
-from corrforms.field import GF, QQ, FpElement
+from corrforms.field import GF, QQ, FpElement, is_prime
 from corrforms.geometry import RationalMap
 from corrforms.invariance import Correspondence, find_primitive
 from corrforms.poly import Polynomial
@@ -32,6 +33,11 @@ from corrforms.sweep import (
 from conftest import fp, qp, random_poly, rf
 
 
+# the package re-exports the function sweep under the module's name
+sweep_module = importlib.import_module("corrforms.sweep")
+field_module = importlib.import_module("corrforms.field")
+
+
 def sextic_pair():
     s2 = qp(1, 0, 1)  # t^2 + 1
     return Correspondence(s2**3, s2)
@@ -45,6 +51,14 @@ def test_primes_in_range():
     assert primes_in_range(29, 29) == [29]
     assert primes_in_range(24, 28) == []
     assert primes_in_range(20, 10) == []
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 2), (2, 2), (2, 1000), (999000, 1000000), (2**31 - 10**4, 2**31 - 1), (1000, 999), (-7, 30)],
+)
+def test_primes_in_range_matches_is_prime(lo, hi):
+    assert primes_in_range(lo, hi) == [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
 def test_reduce_map_mod_p_good():
@@ -197,6 +211,20 @@ def test_sweep_rejects_bad_arguments():
     t5 = fp(5, 0, 1)
     with pytest.raises(UnsupportedCharacteristic):
         sweep(Correspondence(t5**2 + 1, t5), 7, 11)
+
+
+def test_sweep_rejects_a_wide_prime_range_before_any_prime(monkeypatch):
+    built = []
+    # were the cap missing, the stand-ins return at once instead of sieving to 2**31
+    monkeypatch.setattr(sweep_module, "primes_in_range", lambda lo, hi: built.append((lo, hi)) or [])
+    monkeypatch.setattr(field_module, "is_prime", lambda n: built.append(n) or False)
+    with pytest.raises(ValueError, match="at most 1000000"):
+        sweep(sextic_pair(), 2, 2**31 - 1)
+    with pytest.raises(ValueError):
+        sweep(sextic_pair(), 10, 10 + sweep_module._MAX_PRIME_RANGE + 1)
+    assert built == []
+    sweep(sextic_pair(), 10, 10 + sweep_module._MAX_PRIME_RANGE)
+    assert built == [(10, 10 + sweep_module._MAX_PRIME_RANGE)]
 
 
 # -------------------------------------------------------------- decomposition
