@@ -9,10 +9,13 @@ or adds divisors, so the local order identity is checked as the divisor
 equation div(sigma^* omega) = sigma^* div(omega) + nu R_sigma.
 
 Ramification is computed in two charts:
-  * affine places, poles included: zeros of the Wronskian of A/B, refined
-    by truncated Taylor coefficients so indices are exact in any
-    characteristic (at a pole B vanishes, so the first nonzero coefficient
-    -A B^[j] sits at j = the pole order, and a simple pole is no zero);
+  * affine places, poles included: zeros of the Wronskian W = A'B - AB' of
+    A/B.  A place of index e with p not dividing e is a zero of W of order
+    exactly e - 1 (at a pole of order e, -A B' has order e - 1 and A'B order
+    >= e).  Every index is at most deg sigma, so when p = 0 or p > deg sigma
+    a Yun part of multiplicity k is a cluster of index k + 1.  Only when
+    0 < p <= deg sigma, where a wild index raises the order of W, are the
+    clusters refined by truncated Taylor coefficients A^[j] B - A B^[j];
   * the point at infinity: conjugate by t -> 1/s (coefficient reversal).
 """
 
@@ -63,7 +66,8 @@ class RationalMap:
 
     @property
     def is_separable(self):
-        return not _wronskian(self.body).is_zero
+        # A/B is coprime, so A'B = AB' forces A | A' and B | B', i.e. A' = B' = 0
+        return not (self.body.num.derivative().is_zero and self.body.den.derivative().is_zero)
 
     def compose(self, other):
         """self after other."""
@@ -341,21 +345,27 @@ def ramification_places(sigma):
     # chart 1: affine places, poles included = zeros of the Wronskian
     entries = []
     if wronskian.degree > 0:
-        for cluster, _ in squarefree_decompose(wronskian).parts:
-            remaining = cluster
-            j = 2
-            while remaining.degree > 0:
-                if j > d:
-                    raise AssertionError("ramification index exceeded map degree")
-                taylor_j = a_poly.hasse_derivative(j) * b_poly - a_poly * b_poly.hasse_derivative(j)
-                if taylor_j.is_zero:
-                    stays = remaining
-                else:
-                    stays = gcd_monic(remaining, taylor_j)
-                    if stays.degree < remaining.degree:
-                        entries.append((remaining // stays, j))
-                remaining = stays
-                j += 1
+        parts = squarefree_decompose(wronskian).parts
+        if not 0 < field.characteristic <= d:
+            # no index e <= d is divisible by p: a zero of order k has e = k + 1
+            entries = [(cluster, k + 1) for cluster, k in parts]
+        else:
+            # a wild index raises the order of W: refine by Taylor coefficients
+            for cluster, _ in parts:
+                remaining = cluster
+                j = 2
+                while remaining.degree > 0:
+                    if j > d:
+                        raise AssertionError("ramification index exceeded map degree")
+                    taylor_j = a_poly.hasse_derivative(j) * b_poly - a_poly * b_poly.hasse_derivative(j)
+                    if taylor_j.is_zero:
+                        stays = remaining
+                    else:
+                        stays = gcd_monic(remaining, taylor_j)
+                        if stays.degree < remaining.degree:
+                            entries.append((remaining // stays, j))
+                    remaining = stays
+                    j += 1
 
     # chart 2: infinity, via conjugation by t -> 1/s (coefficient reversal)
     deg_a, deg_b = a_poly.degree, b_poly.degree

@@ -1,8 +1,9 @@
 """Rational functions in one variable: reduced fractions with monic denominator.
 
 Only the constructor (user input), ``+`` and ``derivative`` reduce by a full
-gcd.  Other operations take no gcd where no common factor can arise: powers
-and compositions of coprime pairs are coprime, and reduced a/b times c/d is
+gcd, and none of them when the numerator or the denominator is constant.
+Other operations take no gcd where no common factor can arise: powers and
+compositions of coprime pairs are coprime, and reduced a/b times c/d is
 reduced once gcd(a, d) and gcd(c, b) are cancelled.
 """
 
@@ -60,10 +61,7 @@ class RationalFunction:
         num._check(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if not num.is_zero:
-            g = gcd_monic(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+        num, den = _cancel(num, den)
         self.num, self.den = _monic_den(num, den)
 
     @classmethod

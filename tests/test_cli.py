@@ -11,6 +11,7 @@ import pytest
 from corrforms.cli import main
 from corrforms.field import QQ
 from corrforms.invariance import Correspondence, find_primitive
+from corrforms.poly import Polynomial
 from corrforms.sweep import sweep
 
 from conftest import qp
@@ -383,11 +384,19 @@ def test_installed_entry_point():
     assert json.loads(proc.stdout) == {"bound": "4"}
 
 
+CHEB_PAIR_MOD_3 = {
+    **CHEB_PAIR,
+    "field": {"Fp": 3},
+    "omega": {"num": ["1"], "den": ["-4", "0", "1"], "weight": 2},
+}
+
+
 @pytest.mark.parametrize(
     "command, doc, patch, message",
     [
+        # p = 3 <= deg T_4, so the Taylor refinement runs (it does not over Q or for p > deg);
         # a zero Taylor coefficient never splits a cluster: its index passes the degree
-        ("check", CUBIC_PAIR, ("corrforms.poly.Polynomial.hasse_derivative", lambda self, j: self * 0),
+        ("check", CHEB_PAIR_MOD_3, ("corrforms.poly.Polynomial.hasse_derivative", lambda self, j: self * 0),
          "ramification index exceeded map degree"),
         ("detect", CHEB_SHIFTED, ("corrforms.geometry.RationalMap.compose", lambda self, other: other),
          "conjugation changed the degree"),
@@ -403,3 +412,39 @@ def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, command, doc, pat
     path = write_doc(tmp_path, "doc.json", doc)
     code, out, err = run_cli(capsys, command, path)
     assert (code, out, err) == (4, "", f"internal error: {message}\n")
+
+
+# (t^3, t) conjugated by phi = (2t + 1)/(t + 1): rational maps, and dt/t moved by phi
+RATIONAL_MOBIUS_PAIR = {
+    **CUBIC_PAIR,
+    "omega": {"num": ["-1"], "den": ["2", "-3", "1"], "weight": 1},
+    "mobius": {"a": "2", "b": "1", "c": "1", "d": "1"},
+}
+
+
+def test_taylor_refinement_runs_only_when_p_is_at_most_the_degree(
+    tmp_path, capsys, monkeypatch, count_ramification_places
+):
+    # a Wronskian zero of order k has index k + 1 unless 0 < p <= deg sigma
+    characteristics = []
+    hasse = Polynomial.hasse_derivative
+
+    def counted(self, j):
+        characteristics.append(self.field.characteristic)
+        return hasse(self, j)
+
+    monkeypatch.setattr(Polynomial, "hasse_derivative", counted)
+    for doc in (CUBIC_PAIR, CHEB_SHIFTED, RATIONAL_MOBIUS_PAIR):
+        path = write_doc(tmp_path, "doc.json", doc)
+        if doc is not RATIONAL_MOBIUS_PAIR:  # detect needs polynomial maps
+            assert run_cli(capsys, "detect", path)[0] == 0
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 0 and json.loads(out)["holds"] is True
+    assert count_ramification_places and characteristics == []
+    # sweep primes above deg T_4 = 4, then 2 and 3: T_4 is inseparable mod 2
+    path = write_doc(tmp_path, "cheb.json", CHEB_PAIR)
+    before = len(count_ramification_places)
+    assert run_cli(capsys, "sweep", path, "--pmin", "5", "--pmax", "60", "--jobs", "1")[0] == 0
+    assert len(count_ramification_places) == before + 2 * 15 and characteristics == []
+    assert run_cli(capsys, "sweep", path, "--pmin", "2", "--pmax", "3", "--jobs", "1")[0] == 0
+    assert characteristics and set(characteristics) == {3}

@@ -3,8 +3,9 @@
 Frozen values: ramification of t^d and t^2 - 2, divisors of dt/t and of
 (dt)^2/((t-1)(t-2)), pullbacks under squaring maps.  Property checks: the
 degree formula deg div(omega) = -2 nu, functoriality of pullback, the
-Riemann-Hurwitz count deg R = 2d - 2 for tame maps, and the local order
-identity at every point of the relevant supports.
+Riemann-Hurwitz count deg R = 2d - 2 for tame maps, the index rule
+e = k + 1 for p = 0 or p > deg sigma against a Taylor refinement written
+here, and the local order identity at every point of the relevant supports.
 """
 
 import random
@@ -29,8 +30,8 @@ from corrforms.geometry import (
     ramification_divisor,
     ramification_places,
 )
-from corrforms.poly import Polynomial, gcd_monic
-from corrforms.ratfunc import RationalFunction
+from corrforms.poly import Polynomial, gcd_monic, squarefree_decompose
+from corrforms.ratfunc import RationalFunction, _wronskian
 
 from conftest import fp, qp, random_poly, random_separable_poly, rf
 
@@ -126,6 +127,27 @@ def test_is_separable_is_the_nonzero_derivative():
     assert not sigma.is_separable and sigma.body.derivative().is_zero
     verdict = is_tame(sigma)
     assert verdict.tame is False and verdict.witness == "inseparable"
+
+
+def test_is_separable_matches_the_wronskian():
+    # A/B is coprime, so the Wronskian A'B - AB' vanishes exactly when A' = B' = 0
+    rng = random.Random(37)
+    for field, p in ((QQ, 3), (GF(2), 2), (GF(3), 3), (GF(7), 7)):
+        t = Polynomial.variable(field)
+        bodies = [rf(t**p), rf(t**p + 1), rf(t ** (2 * p) + 1, t**p), rf(t**p + t)]
+        while len(bodies) < 64:
+            num = random_poly(rng, field, rng.randint(0, 4))
+            den = random_poly(rng, field, rng.randint(0, 3))
+            if rng.random() < 0.3:
+                num, den = _in_t_to_the_p(num, p), _in_t_to_the_p(den, p)
+            if not den.is_zero and not rf(num, den).is_constant:
+                bodies.append(rf(num, den))
+        verdicts = set()
+        for body in bodies:
+            sigma = RationalMap(body)
+            assert sigma.is_separable == (not _wronskian(body).is_zero), sigma
+            verdicts.add(sigma.is_separable)
+        assert verdicts == ({True} if field is QQ else {True, False})
 
 
 # ---------------------------------------------------------------------- pullbacks
@@ -318,6 +340,92 @@ def test_ramification_image_value_boxed_once(count_fp_elements):
     assert len(count_fp_elements) == 2
     assert places.image_value == f101.scalar(Fraction(3, 7))
     assert ramification_places(RationalMap(rf(qp(1, 0, 3), qp(2, 5, 7)))).image_value == Fraction(3, 7)
+
+
+def _taylor_affine(sigma):
+    """Affine places by Taylor refinement of the Wronskian's clusters: the
+    index of x is the least j >= 2 with A^[j] B - A B^[j] nonzero at x."""
+    a, b = sigma.body.num, sigma.body.den
+    wronskian = _wronskian(sigma.body)
+    entries = []
+    for cluster, _ in squarefree_decompose(wronskian).parts if wronskian.degree > 0 else ():
+        remaining, j = cluster, 2
+        while remaining.degree > 0:
+            assert j <= sigma.degree
+            taylor = a.hasse_derivative(j) * b - a * b.hasse_derivative(j)
+            stays = remaining if taylor.is_zero else gcd_monic(remaining, taylor)
+            if stays.degree < remaining.degree:
+                entries.append((remaining // stays, j))
+            remaining, j = stays, j + 1
+    return tuple(sorted(entries, key=lambda ge: ge[0].sort_key()))
+
+
+def _taylor_infinity(sigma):
+    """The index at infinity: the index at s = 0 of 1/sigma(1/s)."""
+    field = sigma.field
+    flip = mobius_conjugate(sigma, MobiusTransform(field, 0, 1, 1, 0))
+    at_zero = [e for cluster, e in _taylor_affine(flip) if not cluster(field.zero())]
+    return at_zero[0] if at_zero else 1
+
+
+def _planted_map(rng, field):
+    """A map with planted ramification: a zero of sigma - v of multiplicity up
+    to 5, a pole of order 2-4, equal degrees, or a Mobius conjugate of one."""
+    t = Polynomial.variable(field)
+    v = field.scalar(rng.randint(-5, 5))
+
+    def root_power(low, high):
+        return (t - rng.randint(-5, 5)) ** rng.randint(low, high)
+
+    kind = rng.choice(("zeros", "pole", "equal", "conjugate"))
+    if kind == "zeros":
+        # sigma - v = u (t - r1)^m1 (t - r2)^m2
+        body = rf(random_poly(rng, field, rng.randint(0, 1)) * root_power(1, 5) * root_power(1, 5) + v)
+    elif kind == "pole":
+        # sigma - v = (t - r)^m u / ((t - c)^e w)
+        den = root_power(2, 4) * random_poly(rng, field, rng.randint(0, 1))
+        body = rf(root_power(1, 5) * random_poly(rng, field, rng.randint(0, 2)) + v * den, den)
+    elif kind == "equal":
+        # sigma - v = (t - r)^m / den with m < deg den
+        den = random_poly(rng, field, rng.randint(2, 5))
+        body = rf(v * den + root_power(1, den.degree - 1), den)
+    else:
+        sigma = _planted_map(rng, field)
+        while True:
+            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+            if field.scalar(a * d - b * c):
+                return mobius_conjugate(sigma, MobiusTransform(field, a, b, c, d))
+    return RationalMap(body) if not body.is_constant else _planted_map(rng, field)
+
+
+def _tame_planted_maps(rng, field, count):
+    """count planted maps with deg sigma < p, so that no index is divisible by p."""
+    maps = []
+    while len(maps) < count:
+        sigma = _planted_map(rng, field)
+        if not field.characteristic or sigma.degree < field.characteristic:
+            maps.append(sigma)
+    return maps
+
+
+@pytest.mark.parametrize("field", [QQ, GF(11), GF(13), GF(101), GF(997)], ids=repr)
+def test_index_rule_matches_taylor_refinement(field):
+    # p = 0 or p > deg sigma: a Wronskian zero of order k is a place of index k + 1
+    rng = random.Random(f"index rule {field!r}")
+    seen = set()
+    for sigma in _tame_planted_maps(rng, field, 80):
+        places = ramification_places(sigma)
+        assert places.affine == _taylor_affine(sigma), sigma
+        assert places.infinity == _taylor_infinity(sigma), sigma
+        a, b = sigma.body.num, sigma.body.den
+        assert places.image_infinite == (a.degree > b.degree)
+        if not places.image_infinite:
+            assert places.image_value == a.coefficient(b.degree) / b.leading
+        seen.update(e for _, e in places.affine)
+        # Riemann-Hurwitz: the ramification divisor of a tame map has degree 2d - 2
+        total = sum((e - 1) * cluster.degree for cluster, e in places.affine) + places.infinity - 1
+        assert total == 2 * sigma.degree - 2, sigma
+    assert {2, 3, 4, 5} <= seen
 
 
 def test_ramification_divisor_frozen():

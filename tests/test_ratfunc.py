@@ -204,3 +204,40 @@ def test_compose_pow_and_ratio_comparison_take_no_gcd(monkeypatch):
     x * y, x / four
     assert semi_invariance_ratio(corr, omega) == 9
     assert calls == []
+
+
+def construct_with_full_gcd(num, den):
+    """num/den reduced by a gcd whatever the degrees, as the constructor once was."""
+    if not num.is_zero:
+        g = gcd_monic(num, den)
+        if g.degree > 0:
+            num, den = num // g, den // g
+    return ratfunc._coprime(num, den)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+def test_constructor_takes_no_gcd_with_a_constant_side(field, monkeypatch):
+    # the gcd with a constant is 1: polynomial maps, constant numerators and 0/d
+    rng = random.Random(f"constant side {field!r}")
+    one, zero = Polynomial.one(field), Polynomial.zero(field)
+    cases = []
+    for _ in range(40):
+        poly, c = random_poly(rng, field, rng.randint(1, 5)), random_poly(rng, field, 0)
+        cases += [(poly, one), (poly, c), (c, poly), (c, c), (zero, poly), (zero, c)]
+    want = [construct_with_full_gcd(num, den) for num, den in cases]
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd_monic(a, b)
+
+    monkeypatch.setattr(ratfunc, "gcd_monic", counted)
+    for (num, den), expected in zip(cases, want):
+        assert_same(RationalFunction(num, den), expected)
+        if den is one:
+            assert_same(RationalFunction(num), expected)
+    assert calls == []
+    # both sides nonconstant: the gcd still runs
+    t = Polynomial.variable(field)
+    assert_same(RationalFunction(t**2 - 1, 2 * t - 2), RationalFunction(t * Fraction(1, 2) + Fraction(1, 2)))
+    assert len(calls) == 1
