@@ -17,6 +17,8 @@ Ramification is computed in two charts:
     0 < p <= deg sigma, where a wild index raises the order of W, are the
     clusters refined by truncated Taylor coefficients A^[j] B - A B^[j];
   * the point at infinity: conjugate by t -> 1/s (coefficient reversal).
+Off the Taylor path the affine part of R_sigma has degree deg W, so
+deg R_sigma = deg W + e_inf - 1 needs no squarefree decomposition.
 """
 
 from __future__ import annotations
@@ -332,6 +334,25 @@ class RamificationPlaces:
         return None
 
 
+def _infinity_chart(a_poly, b_poly):
+    """(e_inf, image_infinite, image_value) of A/B at t = infinity.
+
+    The chart is conjugation by t -> 1/s, i.e. coefficient reversal.
+    """
+    field = a_poly.field
+    deg_a, deg_b = a_poly.degree, b_poly.degree
+    if deg_a > deg_b:
+        return deg_a - deg_b, True, None
+    if deg_a < deg_b:
+        return deg_b - deg_a, False, field.zero()
+    rev_a = Polynomial(field, list(reversed(a_poly.coeffs)))
+    rev_b = Polynomial(field, list(reversed(b_poly.coeffs)))
+    psi = rev_a._scaled(rev_b.coeffs[0]) - rev_b._scaled(rev_a.coeffs[0])
+    e_inf = next(i for i, c in enumerate(psi.coeffs) if c)
+    lead = a_poly.coeffs[-1] * _inverse(b_poly.coeffs[-1], field.characteristic)
+    return e_inf, False, field.wrap(field.raw(lead))
+
+
 def ramification_places(sigma):
     """Ramification data of sigma; raises InseparableMap on a zero Wronskian."""
     body = sigma.body
@@ -367,22 +388,7 @@ def ramification_places(sigma):
                     remaining = stays
                     j += 1
 
-    # chart 2: infinity, via conjugation by t -> 1/s (coefficient reversal)
-    deg_a, deg_b = a_poly.degree, b_poly.degree
-    if deg_a > deg_b:
-        e_inf = deg_a - deg_b
-        image_infinite, image_value = True, None
-    elif deg_a < deg_b:
-        e_inf = deg_b - deg_a
-        image_infinite, image_value = False, field.zero()
-    else:
-        rev_a = Polynomial(field, list(reversed(a_poly.coeffs)))
-        rev_b = Polynomial(field, list(reversed(b_poly.coeffs)))
-        psi = rev_a._scaled(rev_b.coeffs[0]) - rev_b._scaled(rev_a.coeffs[0])
-        e_inf = next(i for i, c in enumerate(psi.coeffs) if c)
-        lead = a_poly.coeffs[-1] * _inverse(b_poly.coeffs[-1], field.characteristic)
-        image_infinite, image_value = False, field.wrap(field.raw(lead))
-
+    e_inf, image_infinite, image_value = _infinity_chart(a_poly, b_poly)
     entries.sort(key=lambda ge: ge[0].sort_key())
     return RamificationPlaces(tuple(entries), e_inf, image_infinite, image_value)
 
@@ -428,6 +434,20 @@ def _tame_places(sigma):
 def ramification_divisor(sigma):
     """R_sigma = sum (e_x - 1) x over ramified places; requires a tame map."""
     return _ramification_divisor(sigma, _tame_places(sigma))
+
+
+def _ramification_degree(sigma):
+    """deg R_sigma; requires a tame map.
+
+    When p = 0 or p > deg sigma every affine index is e = k + 1 for a zero of
+    order k of the Wronskian W, so the affine part of R_sigma has degree
+    deg W and deg R_sigma = deg W + e_inf - 1, with no gcd.  Otherwise the
+    Taylor refinement of `ramification_divisor` runs, with its tameness check.
+    """
+    body = sigma.body
+    if not 0 < body.field.characteristic <= sigma.degree:
+        return _wronskian(body).degree + _infinity_chart(body.num, body.den)[0] - 1
+    return ramification_divisor(sigma).degree()
 
 
 def _ramification_divisor(sigma, places):

@@ -28,10 +28,10 @@ from .errors import (
 from .geometry import (
     DifferentialForm,
     RationalMap,
+    _ramification_degree,
     conductor,
     divisor_of_form,
     pullback,
-    ramification_divisor,
 )
 from .poly import Polynomial, _inverse
 from .ratfunc import RationalFunction
@@ -255,10 +255,20 @@ class BoundCheck:
 
 
 def ramification_conductor_bound(corr):
-    """(2 deg R_sigma1 + deg R_sigma2)/(d1 - d2), exact; needs tame maps."""
+    """(2 deg R_sigma1 + deg R_sigma2)/(d1 - d2), exact; needs tame maps.
+
+    deg R_sigma is deg W + e_inf - 1 for the Wronskian W of sigma when p = 0
+    or p > deg sigma, and the degree of the Taylor-refined ramification
+    divisor (which raises WildRamification on a wild map) otherwise.  Both
+    must equal 2 deg sigma - 2 by Riemann-Hurwitz on the line; a mismatch is
+    an internal fault and raises AssertionError.
+    """
     _require_d1_above_d2(corr.d1, corr.d2)
-    r1 = ramification_divisor(corr.sigma1).degree()
-    r2 = ramification_divisor(corr.sigma2).degree()
+    r1 = _ramification_degree(corr.sigma1)
+    r2 = _ramification_degree(corr.sigma2)
+    for which, r, d in (("sigma1", r1, corr.d1), ("sigma2", r2, corr.d2)):
+        if r != 2 * d - 2:
+            raise AssertionError(f"Riemann-Hurwitz failed: deg R_{which} = {r}, not 2*{d} - 2")
     return Fraction(2 * r1 + r2, corr.d1 - corr.d2)
 
 

@@ -85,9 +85,10 @@ def count_ramification_places(monkeypatch):
 
 @pytest.fixture
 def count_check_quantities(monkeypatch):
-    """Count calls of semi_invariance_ratio, divisor_of_form and
-    Correspondence.__init__, wherever a function was imported by name."""
-    calls = Counter()
+    """Count calls of semi_invariance_ratio, divisor_of_form,
+    ramification_places and Correspondence.__init__, wherever a function was
+    imported by name; a function never called counts 0."""
+    calls = Counter(ramification_places=0)
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -97,10 +98,15 @@ def count_check_quantities(monkeypatch):
         return wrapper
 
     cli = importlib.import_module("corrforms.cli")
-    for name, home in (("semi_invariance_ratio", invariance), ("divisor_of_form", geometry)):
+    homes = (
+        ("semi_invariance_ratio", invariance),
+        ("divisor_of_form", geometry),
+        ("ramification_places", geometry),
+    )
+    for name, home in homes:
         original = getattr(home, name)
         wrapper = counted(name, original)
-        for module in (geometry, invariance, cli):
+        for module in (geometry, invariance, cli, importlib.import_module("corrforms.sweep")):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
     init = invariance.Correspondence.__init__

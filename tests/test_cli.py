@@ -12,6 +12,7 @@ from corrforms.cli import main
 from corrforms.field import QQ
 from corrforms.invariance import Correspondence, find_primitive
 from corrforms.poly import Polynomial
+from corrforms.ratfunc import _wronskian
 from corrforms.sweep import sweep
 
 from conftest import qp
@@ -371,6 +372,7 @@ def test_check_computes_each_quantity_once(tmp_path, capsys, count_check_quantit
         "semi_invariance_ratio": 1,
         "divisor_of_form": 1,
         "Correspondence": 1,
+        "ramification_places": 0,
     }
 
 
@@ -404,8 +406,12 @@ CHEB_PAIR_MOD_3 = {
         ("detect", {"sigma1": ["0", "0", "0", "1"], "sigma2": ["0", "0", "1"]},
          ("corrforms.invariance.solve_weight1_flat", lambda corr: None),
          "degenerate weight-2 solution without a weight-1 one"),
+        # a Wronskian one degree too high gives deg R_sigma1 = 5 for sigma1 = t^3
+        ("check", CUBIC_PAIR,
+         ("corrforms.geometry._wronskian", lambda body: _wronskian(body) * Polynomial.variable(body.field)),
+         "Riemann-Hurwitz failed: deg R_sigma1 = 5, not 2*3 - 2"),
     ],
-    ids=["ramification_places", "mobius_conjugate", "find_primitive"],
+    ids=["ramification_places", "mobius_conjugate", "find_primitive", "riemann_hurwitz"],
 )
 def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, command, doc, patch, message):
     monkeypatch.setattr(*patch)
@@ -440,7 +446,7 @@ def test_taylor_refinement_runs_only_when_p_is_at_most_the_degree(
             assert run_cli(capsys, "detect", path)[0] == 0
         code, out, err = run_cli(capsys, "check", path)
         assert code == 0 and json.loads(out)["holds"] is True
-    assert count_ramification_places and characteristics == []
+    assert count_ramification_places == [] and characteristics == []
     # sweep primes above deg T_4 = 4, then 2 and 3: T_4 is inseparable mod 2
     path = write_doc(tmp_path, "cheb.json", CHEB_PAIR)
     before = len(count_ramification_places)

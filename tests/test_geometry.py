@@ -5,21 +5,25 @@ Frozen values: ramification of t^d and t^2 - 2, divisors of dt/t and of
 degree formula deg div(omega) = -2 nu, functoriality of pullback, the
 Riemann-Hurwitz count deg R = 2d - 2 for tame maps, the index rule
 e = k + 1 for p = 0 or p > deg sigma against a Taylor refinement written
-here, and the local order identity at every point of the relevant supports.
+here, deg R = deg W + e_inf - 1 against the ramification divisor, and the
+local order identity at every point of the relevant supports.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from corrforms.errors import InseparableMap, WildRamification
+from corrforms import geometry
+from corrforms.errors import InseparableMap, WildInput, WildRamification
 from corrforms.field import GF, QQ, FpElement
 from corrforms.geometry import (
     DifferentialForm,
     Divisor,
     MobiusTransform,
     RationalMap,
+    _ramification_degree,
     check_order_identity,
     conductor,
     divisor_of_form,
@@ -428,6 +432,51 @@ def test_index_rule_matches_taylor_refinement(field):
     assert {2, 3, 4, 5} <= seen
 
 
+def _random_rational_map(rng, field, low, high):
+    """A random map A/B of degree low..high: a polynomial, equal degrees, or
+    a denominator of higher degree, Mobius-conjugated one time in four."""
+    while True:
+        degree = rng.randint(low, high)
+        deg_b = rng.choice((0, rng.randint(1, degree), degree))
+        deg_a = degree if deg_b < degree else rng.randint(0, degree)
+        body = RationalFunction(random_poly(rng, field, deg_a), random_poly(rng, field, deg_b))
+        if body.is_constant or not low <= max(body.num.degree, body.den.degree) <= high:
+            continue
+        sigma = RationalMap(body)
+        if rng.random() < 0.25:
+            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+            if field.scalar(a * d - b * c):
+                sigma = mobius_conjugate(sigma, MobiusTransform(field, a, b, c, d))
+        return sigma
+
+
+def test_ramification_degree_matches_the_divisor(monkeypatch):
+    # deg W + e_inf - 1 when p = 0 or p > deg sigma; the Taylor-refined divisor otherwise
+    taylor = []
+    divisor = geometry.ramification_divisor
+    monkeypatch.setattr(geometry, "ramification_divisor", lambda sigma: taylor.append(sigma) or divisor(sigma))
+    paths = Counter()
+    for field, low, high in ((QQ, 2, 8), (GF(101), 2, 8), (GF(7), 7, 10)):
+        rng = random.Random(f"ramification degree {field!r}")
+        maps = [_random_rational_map(rng, field, low, high) for _ in range(60)]
+        if field.characteristic != 7:  # planted maps have degree below 7
+            maps += _tame_planted_maps(rng, field, 60)
+        for sigma in maps:
+            before = len(taylor)
+            try:
+                expected = divisor(sigma).degree()
+            except (InseparableMap, WildRamification, WildInput) as exc:
+                with pytest.raises(type(exc)):
+                    _ramification_degree(sigma)
+                paths["rejected"] += 1
+                continue
+            assert _ramification_degree(sigma) == expected == 2 * sigma.degree - 2, sigma
+            fast = len(taylor) == before
+            assert fast == (not 0 < field.characteristic <= sigma.degree), sigma
+            paths["fast" if fast else "taylor"] += 1
+    assert paths["fast"] >= 200 and paths["taylor"] >= 40, paths
+
+
 def test_ramification_divisor_frozen():
     t = qp(0, 1)
     r = ramification_divisor(RationalMap(t**5))
@@ -630,8 +679,6 @@ def test_mobius_conjugation_preserves_ramification_random():
 def test_order_identity_false_when_pullback_is_perturbed(monkeypatch):
     # the identity must reject a pullback off by a factor (t - 5), and accept
     # one off by a nonzero constant, whose divisor is the same
-    from corrforms import geometry
-
     real_pullback = geometry.pullback
     t, t7 = qp(0, 1), fp(7, 0, 1)
     cases = [
