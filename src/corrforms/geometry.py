@@ -337,7 +337,7 @@ class RamificationPlaces:
 def _infinity_chart(a_poly, b_poly):
     """(e_inf, image_infinite, image_value) of A/B at t = infinity.
 
-    The chart is conjugation by t -> 1/s, i.e. coefficient reversal.
+    e_inf is the order at infinity of A/B - sigma(infinity), or of A/B when sigma(infinity) is infinity.
     """
     field = a_poly.field
     deg_a, deg_b = a_poly.degree, b_poly.degree
@@ -345,12 +345,10 @@ def _infinity_chart(a_poly, b_poly):
         return deg_a - deg_b, True, None
     if deg_a < deg_b:
         return deg_b - deg_a, False, field.zero()
-    rev_a = Polynomial(field, list(reversed(a_poly.coeffs)))
-    rev_b = Polynomial(field, list(reversed(b_poly.coeffs)))
-    psi = rev_a._scaled(rev_b.coeffs[0]) - rev_b._scaled(rev_a.coeffs[0])
-    e_inf = next(i for i, c in enumerate(psi.coeffs) if c)
-    lead = a_poly.coeffs[-1] * _inverse(b_poly.coeffs[-1], field.characteristic)
-    return e_inf, False, field.wrap(field.raw(lead))
+    # equal degrees, leading coefficients a, b: A/B - a/b = (b A - a B)/(b B)
+    a, b = a_poly.coeffs[-1], b_poly.coeffs[-1]
+    e_inf = deg_b - (a_poly._scaled(b) - b_poly._scaled(a)).degree
+    return e_inf, False, field.wrap(field.raw(a * _inverse(b, field.characteristic)))
 
 
 def ramification_places(sigma):

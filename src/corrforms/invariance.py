@@ -43,8 +43,7 @@ class Correspondence:
     __slots__ = ("sigma1", "sigma2")
 
     def __init__(self, sigma1, sigma2):
-        sigma1 = _as_map(sigma1)
-        sigma2 = _as_map(sigma2)
+        sigma1, sigma2 = (m if isinstance(m, RationalMap) else RationalMap(m) for m in (sigma1, sigma2))
         if sigma1.field != sigma2.field:
             raise FieldMismatch("the two maps live over different fields")
         for which, m in (("sigma1", sigma1), ("sigma2", sigma2)):
@@ -71,14 +70,6 @@ class Correspondence:
 
     def __repr__(self):
         return f"Correspondence({self.sigma1.body!r}, {self.sigma2.body!r})"
-
-
-def _as_map(m):
-    if isinstance(m, RationalMap):
-        return m
-    if isinstance(m, (Polynomial, RationalFunction)):
-        return RationalMap(m)
-    raise TypeError("expected a RationalMap, Polynomial or RationalFunction")
 
 
 def flat_form_weight1(field, a):
@@ -208,32 +199,22 @@ class GroupReport:
 def find_primitive(corr):
     """Search flat weights 1 then 2 for a primitive semi-invariant form."""
     complete = corr.d1 >= 14 * corr.d2
-    w1 = solve_weight1_flat(corr)
-    if w1 is not None:
-        return GroupReport(
-            status="cyclic",
-            complete=complete,
-            weight=1,
-            ratio=w1.ratio,
-            primitive=flat_form_weight1(corr.field, w1.a),
-            flatness="weight1",
-            params={"a": w1.a},
-        )
-    w2 = solve_weight2_flat(corr)
-    if w2 is not None:
-        if w2.degenerate:
+    found = solve_weight1_flat(corr)
+    if found is not None:
+        params, primitive = {"a": found.a}, flat_form_weight1(corr.field, found.a)
+    else:
+        found = solve_weight2_flat(corr)
+        if found is None:
+            return GroupReport(status="trivial", complete=complete)
+        if found.degenerate:
             # a degenerate hit factors as a weight-1 hit, which was just excluded
             raise RuntimeError("degenerate weight-2 solution without a weight-1 one")
-        return GroupReport(
-            status="cyclic",
-            complete=complete,
-            weight=2,
-            ratio=w2.ratio,
-            primitive=flat_form_weight2(corr.field, w2.s, w2.q),
-            flatness="weight2",
-            params={"s": w2.s, "q": w2.q},
-        )
-    return GroupReport(status="trivial", complete=complete)
+        params, primitive = {"s": found.s, "q": found.q}, flat_form_weight2(corr.field, found.s, found.q)
+    nu = primitive.weight
+    return GroupReport(
+        status="cyclic", complete=complete, weight=nu, ratio=found.ratio,
+        primitive=primitive, flatness=f"weight{nu}", params=params,
+    )
 
 
 def genus_conductor_bound(g_x, g_y, d1, d2):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import CorrformsError, InseparableMap, NotPLocalUnit, UnsupportedCharacteristic
-from .field import GF, QQ
+from .field import GF, MAX_PRIME_MODULUS, QQ
 from .geometry import RationalMap, ramification_places
 from .invariance import Correspondence, _solver_inputs, find_primitive
 from .poly import Polynomial, gcd_monic, squarefree_decompose
@@ -133,19 +133,11 @@ def _sweep_one(corr, p):
     reduced = reduce_mod_p(corr, p)
     if isinstance(reduced, str):
         return SweepEntry(p=p, guard=guard, status="skipped", reason=reduced)
-    try:
-        report = find_primitive(reduced)
-    except CorrformsError as exc:
-        return SweepEntry(p=p, guard=guard, status="skipped", reason=str(exc))
-    if report.status == "trivial":
-        return SweepEntry(p=p, guard=guard, status="trivial")
+    # sweep() checked d1 > d2 polynomials; reduce_mod_p skips p | d1 d2 (e_inf = d): no solver raises
+    report = find_primitive(reduced)
     return SweepEntry(
-        p=p,
-        guard=guard,
-        status="cyclic",
-        weight=report.weight,
-        ratio=report.ratio,
-        params=report.params,
+        p=p, guard=guard, status=report.status,
+        weight=report.weight, ratio=report.ratio, params=report.params,
     )
 
 
@@ -159,6 +151,8 @@ def sweep(corr, pmin, pmax, jobs=1):
         raise ValueError("jobs must be a positive integer")
     if pmax - pmin > _MAX_PRIME_RANGE:
         raise ValueError(f"pmax - pmin must be at most {_MAX_PRIME_RANGE}")
+    if pmax >= MAX_PRIME_MODULUS:
+        raise ValueError(f"pmax {pmax} must be below 2**31")
     primes = primes_in_range(pmin, pmax)
     work = partial(_sweep_one, corr)
     # a fork pool starts every worker at once: never more than cores or primes

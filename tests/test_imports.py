@@ -1,12 +1,14 @@
 """Every module of the package uses every name it imports, every private
 module-level helper has a caller, no module-level function or class is
-defined in two modules, and importing the package loads no process pool.
+defined in two modules, importing the package loads no process pool, and
+every name the benchmark's tracer hooks still exists.
 
 The package's __init__ is exempt from the import check: it imports names
 to re-export them.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -94,3 +96,17 @@ def test_import_does_not_load_multiprocessing():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_finds_every_hooked_name():
+    # perfbench/tracer.py reports a renamed or deleted function as a metric that reads 0
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []

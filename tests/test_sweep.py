@@ -16,7 +16,7 @@ import pytest
 from corrforms.errors import UnsupportedCharacteristic
 from corrforms.field import GF, QQ, FpElement, is_prime
 from corrforms.geometry import RationalMap
-from corrforms.invariance import Correspondence, find_primitive
+from corrforms.invariance import Correspondence, _solver_inputs, find_primitive
 from corrforms.poly import Polynomial
 from corrforms.sweep import (
     Decomposition,
@@ -225,6 +225,41 @@ def test_sweep_rejects_a_wide_prime_range_before_any_prime(monkeypatch):
     assert built == []
     sweep(sextic_pair(), 10, 10 + sweep_module._MAX_PRIME_RANGE)
     assert built == [(10, 10 + sweep_module._MAX_PRIME_RANGE)]
+
+
+def test_sweep_rejects_pmax_above_the_prime_cap_before_any_prime(monkeypatch):
+    built = []
+    monkeypatch.setattr(sweep_module, "primes_in_range", lambda lo, hi: built.append((lo, hi)) or [])
+    monkeypatch.setattr(field_module, "is_prime", lambda n: built.append(n) or False)
+    with pytest.raises(ValueError, match="below 2\\*\\*31"):
+        sweep(sextic_pair(), 2**31 - 200, 2**31 + 50)
+    with pytest.raises(ValueError, match="below 2\\*\\*31"):
+        sweep(sextic_pair(), 2**31 - 200, field_module.MAX_PRIME_MODULUS)
+    assert built == []
+    sweep(sextic_pair(), 2**31 - 200, field_module.MAX_PRIME_MODULUS - 1)
+    assert built == [(2**31 - 200, 2**31 - 1)]
+
+
+def test_good_reduction_meets_the_solver_preconditions():
+    # _sweep_one calls find_primitive unguarded: e_inf = d, so reduce_mod_p must
+    # skip every p | d1 d2, and a pair it keeps must pass the solvers' checks
+    rng = random.Random(1207)
+    degrees = [(2, 1), (3, 2), (4, 3), (5, 2), (6, 4), (7, 5), (9, 6), (10, 7), (12, 5), (14, 10), (15, 7)]
+    degrees += [(d1, rng.randint(1, d1 - 1)) for d1 in (rng.randint(2, 15) for _ in range(8))]
+    kept = skipped = 0
+    for d1, d2 in degrees:
+        pair = Correspondence(random_poly(rng, QQ, d1, span=3), random_poly(rng, QQ, d2, span=3))
+        for p in primes_in_range(2, 60):
+            reduced = reduce_mod_p(pair, p)
+            if (d1 * d2) % p == 0:
+                assert isinstance(reduced, str), (d1, d2, p)
+            if isinstance(reduced, str):
+                skipped += 1
+                continue
+            kept += 1
+            _solver_inputs(reduced)
+            assert find_primitive(reduced).status in ("trivial", "cyclic")
+    assert kept > 100 and skipped > 50
 
 
 # -------------------------------------------------------------- decomposition
