@@ -3,21 +3,22 @@
 Closed points never require factorization: an affine closed-point cluster is
 a monic squarefree polynomial, a divisor is a coprime list of such clusters
 with integer multiplicities plus an integer multiplicity at infinity, and
-ramification indices fall out of gcd refinements.  `Divisor` is the one
-place where overlapping clusters are split by gcd; everything else compares
-or adds divisors, so the local order identity is checked as the divisor
-equation div(sigma^* omega) = sigma^* div(omega) + nu R_sigma.
+ramification indices are read off the Wronskian's squarefree decomposition.
+`Divisor` is the one place where overlapping clusters are split by gcd;
+everything else compares or adds divisors, so the local order identity is
+checked as the divisor equation
+div(sigma^* omega) = sigma^* div(omega) + nu R_sigma.
 
 Ramification is computed in two charts:
   * affine places, poles included: zeros of the Wronskian W = A'B - AB' of
     A/B.  A place of index e with p not dividing e is a zero of W of order
     exactly e - 1 (at a pole of order e, -A B' has order e - 1 and A'B order
-    >= e).  Every index is at most deg sigma, so when p = 0 or p > deg sigma
-    a Yun part of multiplicity k is a cluster of index k + 1.  Only when
-    0 < p <= deg sigma, where a wild index raises the order of W, are the
-    clusters refined by truncated Taylor coefficients A^[j] B - A B^[j];
-  * the point at infinity: conjugate by t -> 1/s (coefficient reversal).
-Off the Taylor path the affine part of R_sigma has degree deg W, so
+    >= e), and a wild place of index e has ord W >= e >= p.  In
+    characteristic p squarefree decomposition raises WildInput unless every
+    multiplicity of W is below p, so in every characteristic a Yun part of
+    multiplicity k is a cluster of index k + 1;
+  * the point at infinity: read off the degrees and leading coefficients.
+So the affine part of R_sigma has degree deg W, and
 deg R_sigma = deg W + e_inf - 1 needs no squarefree decomposition.
 """
 
@@ -352,39 +353,25 @@ def _infinity_chart(a_poly, b_poly):
 
 
 def ramification_places(sigma):
-    """Ramification data of sigma; raises InseparableMap on a zero Wronskian."""
+    """Ramification data of sigma; raises InseparableMap on a zero Wronskian.
+
+    A Wronskian zero of order k is a place of index k + 1, in every
+    characteristic: squarefree_decompose raises WildInput unless every
+    multiplicity of W is below p, and a wild place of index e has ord W >= e.
+    """
     body = sigma.body
     a_poly, b_poly = body.num, body.den
-    field = body.field
     wronskian = _wronskian(body)
     if wronskian.is_zero:
         raise InseparableMap(f"{sigma} is inseparable")
-    d = sigma.degree
 
     # chart 1: affine places, poles included = zeros of the Wronskian
     entries = []
     if wronskian.degree > 0:
         parts = squarefree_decompose(wronskian).parts
-        if not 0 < field.characteristic <= d:
-            # no index e <= d is divisible by p: a zero of order k has e = k + 1
-            entries = [(cluster, k + 1) for cluster, k in parts]
-        else:
-            # a wild index raises the order of W: refine by Taylor coefficients
-            for cluster, _ in parts:
-                remaining = cluster
-                j = 2
-                while remaining.degree > 0:
-                    if j > d:
-                        raise AssertionError("ramification index exceeded map degree")
-                    taylor_j = a_poly.hasse_derivative(j) * b_poly - a_poly * b_poly.hasse_derivative(j)
-                    if taylor_j.is_zero:
-                        stays = remaining
-                    else:
-                        stays = gcd_monic(remaining, taylor_j)
-                        if stays.degree < remaining.degree:
-                            entries.append((remaining // stays, j))
-                    remaining = stays
-                    j += 1
+        if parts[-1][1] + 1 > sigma.degree:
+            raise AssertionError("ramification index exceeded map degree")
+        entries = [(cluster, k + 1) for cluster, k in parts]
 
     e_inf, image_infinite, image_value = _infinity_chart(a_poly, b_poly)
     entries.sort(key=lambda ge: ge[0].sort_key())
@@ -437,10 +424,11 @@ def ramification_divisor(sigma):
 def _ramification_degree(sigma):
     """deg R_sigma; requires a tame map.
 
-    When p = 0 or p > deg sigma every affine index is e = k + 1 for a zero of
-    order k of the Wronskian W, so the affine part of R_sigma has degree
-    deg W and deg R_sigma = deg W + e_inf - 1, with no gcd.  Otherwise the
-    Taylor refinement of `ramification_divisor` runs, with its tameness check.
+    Every affine index is e = k + 1 for a zero of order k of the Wronskian W,
+    so the affine part of R_sigma has degree deg W and
+    deg R_sigma = deg W + e_inf - 1, with no gcd.  When 0 < p <= deg sigma an
+    index may be divisible by p, so the degree is taken from
+    `ramification_divisor`, which checks tameness.
     """
     body = sigma.body
     if not 0 < body.field.characteristic <= sigma.degree:

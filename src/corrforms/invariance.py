@@ -239,10 +239,10 @@ def ramification_conductor_bound(corr):
     """(2 deg R_sigma1 + deg R_sigma2)/(d1 - d2), exact; needs tame maps.
 
     deg R_sigma is deg W + e_inf - 1 for the Wronskian W of sigma when p = 0
-    or p > deg sigma, and the degree of the Taylor-refined ramification
-    divisor (which raises WildRamification on a wild map) otherwise.  Both
-    must equal 2 deg sigma - 2 by Riemann-Hurwitz on the line; a mismatch is
-    an internal fault and raises AssertionError.
+    or p > deg sigma, and the degree of the ramification divisor (which
+    raises WildRamification on a wild map) otherwise.  Both must equal
+    2 deg sigma - 2 by Riemann-Hurwitz on the line; a mismatch is an
+    internal fault and raises AssertionError.
     """
     _require_d1_above_d2(corr.d1, corr.d2)
     r1 = _ramification_degree(corr.sigma1)

@@ -19,6 +19,8 @@ from .invariance import Correspondence
 from .poly import Polynomial
 from .ratfunc import RationalFunction
 
+_MAX_FORM_WEIGHT = 64  # the largest |weight| a document's form may carry
+
 
 def scalar_str(x):
     if isinstance(x, Fraction):
@@ -85,6 +87,8 @@ def form_from_json(field, data, where):
     weight = data["weight"]
     if isinstance(weight, bool) or not isinstance(weight, int) or weight == 0:
         raise InputFormatError(f"{where}.weight: must be a nonzero integer")
+    if abs(weight) > _MAX_FORM_WEIGHT:
+        raise InputFormatError(f"{where}.weight: |weight| must be at most {_MAX_FORM_WEIGHT}")
     if num.is_zero:
         raise InputFormatError(f"{where}.num: form coefficient must be nonzero")
     if den.is_zero:

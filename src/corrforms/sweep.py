@@ -19,7 +19,7 @@ from .errors import CorrformsError, InseparableMap, NotPLocalUnit, UnsupportedCh
 from .field import GF, MAX_PRIME_MODULUS, QQ
 from .geometry import RationalMap, ramification_places
 from .invariance import Correspondence, _solver_inputs, find_primitive
-from .poly import Polynomial, gcd_monic, squarefree_decompose
+from .poly import Polynomial, squarefree_decompose
 from .ratfunc import RationalFunction
 
 
@@ -61,9 +61,10 @@ def reduce_map_mod_p(sigma, field):
         return f"a coefficient denominator is divisible by {field.p}"
     if num.degree != sigma.body.num.degree or den.degree != sigma.body.den.degree:
         return f"degree drops mod {field.p}"
-    if den.degree > 0 and gcd_monic(num, den).degree > 0:
+    body = RationalFunction(num, den)
+    if body.den.degree < den.degree:
         return f"numerator and denominator share a factor mod {field.p}"
-    return RationalMap(RationalFunction(num, den))
+    return RationalMap(body)
 
 
 def reduce_mod_p(corr, p):

@@ -11,7 +11,7 @@ import pytest
 from corrforms.cli import main
 from corrforms.field import QQ
 from corrforms.invariance import Correspondence, find_primitive
-from corrforms.poly import Polynomial
+from corrforms.poly import Polynomial, SquarefreeDecomposition
 from corrforms.ratfunc import _wronskian
 from corrforms.sweep import sweep
 
@@ -396,9 +396,11 @@ CHEB_PAIR_MOD_3 = {
 @pytest.mark.parametrize(
     "command, doc, patch, message",
     [
-        # p = 3 <= deg T_4, so the Taylor refinement runs (it does not over Q or for p > deg);
-        # a zero Taylor coefficient never splits a cluster: its index passes the degree
-        ("check", CHEB_PAIR_MOD_3, ("corrforms.poly.Polynomial.hasse_derivative", lambda self, j: self * 0),
+        # p = 3 <= deg T_4, so the conductor bound reads the ramification places;
+        # a Wronskian zero of order 5 would be a place of index 6 > deg T_4
+        ("check", CHEB_PAIR_MOD_3,
+         ("corrforms.geometry.squarefree_decompose",
+          lambda a: SquarefreeDecomposition(a.leading, ((a.monic(), 5),))),
          "ramification index exceeded map degree"),
         ("detect", CHEB_SHIFTED, ("corrforms.geometry.RationalMap.compose", lambda self, other: other),
          "conjugation changed the degree"),
@@ -428,10 +430,11 @@ RATIONAL_MOBIUS_PAIR = {
 }
 
 
-def test_taylor_refinement_runs_only_when_p_is_at_most_the_degree(
+def test_no_taylor_coefficient_in_any_characteristic(
     tmp_path, capsys, monkeypatch, count_ramification_places
 ):
-    # a Wronskian zero of order k has index k + 1 unless 0 < p <= deg sigma
+    # a Wronskian zero of order k has index k + 1 in every characteristic, so
+    # no Hasse derivative is taken, not even at p = 3 <= deg T_4
     characteristics = []
     hasse = Polynomial.hasse_derivative
 
@@ -453,4 +456,5 @@ def test_taylor_refinement_runs_only_when_p_is_at_most_the_degree(
     assert run_cli(capsys, "sweep", path, "--pmin", "5", "--pmax", "60", "--jobs", "1")[0] == 0
     assert len(count_ramification_places) == before + 2 * 15 and characteristics == []
     assert run_cli(capsys, "sweep", path, "--pmin", "2", "--pmax", "3", "--jobs", "1")[0] == 0
-    assert characteristics and set(characteristics) == {3}
+    assert 3 in {sigma.field.characteristic for sigma in count_ramification_places[before:]}
+    assert characteristics == []

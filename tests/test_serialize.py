@@ -67,6 +67,17 @@ def test_form_round_trip():
         serialize.form_from_json(QQ, {"num": ["0"], "den": ["1"], "weight": 1}, "w")
 
 
+def test_form_weight_is_capped_at_64():
+    # each unit of weight is one more power of sigma' in a pullback
+    for weight in (64, -64):
+        data = {"num": ["1"], "den": ["0", "1"], "weight": weight}
+        assert serialize.form_from_json(QQ, data, "omega").weight == weight
+    for weight in (65, -65):
+        data = {"num": ["1"], "den": ["0", "1"], "weight": weight}
+        with pytest.raises(InputFormatError, match=r"^omega\.weight: "):
+            serialize.form_from_json(QQ, data, "omega")
+
+
 def test_field_from_json():
     assert serialize.field_from_json(None, "field") == QQ
     assert serialize.field_from_json("Q", "field") == QQ
