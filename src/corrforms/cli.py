@@ -39,18 +39,28 @@ from .serialize import (
 from .sweep import _MAX_PRIME_RANGE, chebyshev, decompose_power_pair, multiplicative_pair, sweep
 
 
+_MAX_GEN_DEGREE = 1024  # the largest degree of the sigma1 that gen writes
+
+
 def _emit(obj):
     print(json.dumps(obj))
 
 
+def _parse_json(data, where):
+    """JSON from UTF-8 bytes or text; undecodable or too deeply nested input is an InputFormatError."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise InputFormatError(f"{where}: invalid JSON ({exc})") from None
+
+
 def _read_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{path}: invalid JSON ({exc})") from None
+    return _parse_json(data, path)
 
 
 def _load_document(path):
@@ -129,8 +139,9 @@ def cmd_bound(args):
 
 def cmd_gen(args):
     if args.family == "multiplicative":
-        sigma_coeffs = json.loads(args.sigma) if args.sigma else ["0", "1"]
+        sigma_coeffs = _parse_json(args.sigma, "--sigma") if args.sigma else ["0", "1"]
         sigma = poly_from_json(QQ, sigma_coeffs, "--sigma")
+        _check_gen_degree(args.m * sigma.degree)
         try:
             corr = multiplicative_pair(sigma, args.m, args.h)
         except ValueError as exc:
@@ -139,6 +150,7 @@ def cmd_gen(args):
     else:  # chebyshev
         if not args.d1 > args.d2 >= 1:
             raise InputFormatError("gen chebyshev needs --d1 > --d2 >= 1")
+        _check_gen_degree(args.d1)
         corr = Correspondence(chebyshev(args.d1), chebyshev(args.d2))
         omega = {"num": ["1"], "den": ["-4", "0", "1"], "weight": 2}  # (dt)^2/(t^2-4)
     _emit(
@@ -149,6 +161,11 @@ def cmd_gen(args):
             "field": "Q",
         }
     )
+
+
+def _check_gen_degree(degree):
+    if degree > _MAX_GEN_DEGREE:
+        raise InputFormatError(f"gen: deg sigma1 = {degree} must be at most {_MAX_GEN_DEGREE}")
 
 
 def _default_jobs():
@@ -215,7 +232,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (InputFormatError, json.JSONDecodeError) as exc:
+    except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CorrformsError, ZeroDivisionError) as exc:

@@ -18,8 +18,10 @@ Ramification is computed in two charts:
     multiplicity of W is below p, so in every characteristic a Yun part of
     multiplicity k is a cluster of index k + 1;
   * the point at infinity: read off the degrees and leading coefficients.
-So the affine part of R_sigma has degree deg W, and
-deg R_sigma = deg W + e_inf - 1 needs no squarefree decomposition.
+So the affine part of R_sigma has degree deg W, and in every characteristic
+deg R_sigma = deg W + e_inf - 1 needs no squarefree decomposition.  Whether
+p divides an index is tested in one place, `_tame_places`; every tameness
+verdict, skip reason and WildRamification comes from it.
 """
 
 from __future__ import annotations
@@ -324,16 +326,6 @@ class RamificationPlaces:
     image_infinite: bool
     image_value: object
 
-    def wild_place(self, p):
-        """The first place whose index p divides (a cluster or "infinity"), or None."""
-        if p:
-            for cluster, e in self.affine:
-                if e % p == 0:
-                    return cluster
-            if self.infinity % p == 0:
-                return "infinity"
-        return None
-
 
 def _infinity_chart(a_poly, b_poly):
     """(e_inf, image_infinite, image_value) of A/B at t = infinity.
@@ -396,23 +388,28 @@ class Tameness:
 
 def is_tame(sigma):
     """Tameness verdict: every ramification index coprime to the characteristic."""
-    p = sigma.field.characteristic
-    if p == 0:
+    if sigma.field.characteristic == 0:
         # a nonconstant map is separable, and every index is tame, in characteristic 0
         return Tameness(True)
     try:
-        wild = ramification_places(sigma).wild_place(p)
+        _tame_places(sigma)
     except InseparableMap:
         return Tameness(False, "inseparable")
-    return Tameness(wild is None, wild)
+    except WildRamification as exc:
+        return Tameness(False, exc.place)
+    return Tameness(True)
 
 
 def _tame_places(sigma):
-    """ramification_places(sigma), after checking that every index is tame."""
+    """ramification_places(sigma); raises WildRamification at the first place whose index p divides."""
     places = ramification_places(sigma)
-    wild = places.wild_place(sigma.field.characteristic)
-    if wild is not None:
-        raise WildRamification(wild)
+    p = sigma.field.characteristic
+    if p:
+        for cluster, e in places.affine:
+            if e % p == 0:
+                raise WildRamification(cluster)
+        if places.infinity % p == 0:
+            raise WildRamification("infinity")
     return places
 
 
@@ -422,18 +419,17 @@ def ramification_divisor(sigma):
 
 
 def _ramification_degree(sigma):
-    """deg R_sigma; requires a tame map.
+    """deg R_sigma = deg W + e_inf - 1 in every characteristic; requires a tame map.
 
     Every affine index is e = k + 1 for a zero of order k of the Wronskian W,
-    so the affine part of R_sigma has degree deg W and
-    deg R_sigma = deg W + e_inf - 1, with no gcd.  When 0 < p <= deg sigma an
-    index may be divisible by p, so the degree is taken from
-    `ramification_divisor`, which checks tameness.
+    so the affine part of R_sigma has degree deg W, with no gcd.  An index
+    can be divisible by p only when 0 < p <= deg sigma; only then is
+    `_tame_places` called first, which raises on a wild or inseparable map.
     """
     body = sigma.body
-    if not 0 < body.field.characteristic <= sigma.degree:
-        return _wronskian(body).degree + _infinity_chart(body.num, body.den)[0] - 1
-    return ramification_divisor(sigma).degree()
+    if 0 < body.field.characteristic <= sigma.degree:
+        _tame_places(sigma)
+    return _wronskian(body).degree + _infinity_chart(body.num, body.den)[0] - 1
 
 
 def _ramification_divisor(sigma, places):

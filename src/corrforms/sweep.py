@@ -15,9 +15,9 @@ import os
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import CorrformsError, InseparableMap, NotPLocalUnit, UnsupportedCharacteristic
+from .errors import CorrformsError, InseparableMap, NotPLocalUnit, UnsupportedCharacteristic, WildRamification
 from .field import GF, MAX_PRIME_MODULUS, QQ
-from .geometry import RationalMap, ramification_places
+from .geometry import RationalMap, _tame_places
 from .invariance import Correspondence, _solver_inputs, find_primitive
 from .poly import Polynomial, squarefree_decompose
 from .ratfunc import RationalFunction
@@ -78,13 +78,13 @@ def reduce_mod_p(corr, p):
         if isinstance(out, str):
             return f"{name}: {out}"
         try:
-            wild = ramification_places(out).wild_place(p)
+            _tame_places(out)
         except InseparableMap:
             return f"{name}: inseparable mod {p}"
+        except WildRamification as exc:
+            return f"{name}: {exc} mod {p}"
         except CorrformsError as exc:
             return f"{name}: {exc}"
-        if wild is not None:
-            return f"{name}: wild ramification at {wild} mod {p}"
         reduced.append(out)
     return Correspondence(reduced[0], reduced[1])
 

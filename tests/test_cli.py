@@ -66,6 +66,27 @@ def test_check_rejects_missing_form(tmp_path, capsys):
     assert "omega" in err
 
 
+def test_check_reads_the_form_from_omega_file(tmp_path, capsys):
+    embedded = write_doc(tmp_path, "embedded.json", CUBIC_PAIR)
+    bare = write_doc(tmp_path, "bare.json", {k: v for k, v in CUBIC_PAIR.items() if k != "omega"})
+    omega = write_doc(tmp_path, "omega.json", CUBIC_PAIR["omega"])
+    code, out, err = run_cli(capsys, "check", bare, "--omega", omega)
+    assert code == 0 and err == ""
+    assert json.loads(out)["lambda"] == "3" and json.loads(out)["bound"] == "4"
+    assert run_cli(capsys, "check", embedded) == (0, out, "")
+
+
+def test_check_rejects_bad_omega_file(tmp_path, capsys):
+    bare = write_doc(tmp_path, "bare.json", {k: v for k, v in CUBIC_PAIR.items() if k != "omega"})
+    heavy = write_doc(tmp_path, "omega.json", {**CUBIC_PAIR["omega"], "weight": 65})
+    assert run_cli(capsys, "check", bare, "--omega", heavy) == (
+        2, "", "error: omega.weight: |weight| must be at most 64\n"
+    )
+    code, out, err = run_cli(capsys, "check", bare, "--omega", str(tmp_path / "missing.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read ") and len(err.splitlines()) == 1
+
+
 def test_check_accepts_equal_degrees_without_bound(tmp_path, capsys):
     doc = {
         "sigma1": ["0", "0", "1"],
@@ -129,6 +150,44 @@ def test_bad_json_is_usage_error(tmp_path, capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "detect", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["detect"], b"[" * 100000),
+        (["detect"], b'{"field": {"Fp": 1' + b"0" * 5000 + b"}}"),
+        (["detect"], b"\xff\xfe"),
+        (["gen", "multiplicative", "--m", "3", "--h", "1", "--sigma", "[" * 100000], None),
+        (["gen", "multiplicative", "--m", "3", "--h", "1", "--sigma", "[1" + "0" * 5000 + "]"], None),
+    ],
+    ids=["deep_document", "long_integer", "not_utf8", "deep_sigma", "long_integer_sigma"],
+)
+def test_undecodable_json_is_usage_error(tmp_path, capsys, argv, payload):
+    if payload is not None:
+        path = tmp_path / "bad.json"
+        path.write_bytes(payload)
+        argv = [*argv, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "invalid JSON" in err and len(err.splitlines()) == 1, err
+
+
+MALFORMED_DOCUMENTS = {
+    "sigma1.den: denominator is zero": {"sigma1": {"num": ["0", "1"], "den": ["0"]}, "sigma2": ["0", "1"]},
+    "sigma1: expected an array or a num/den object": {"sigma1": "t^3", "sigma2": ["0", "1"]},
+    'omega: expected {"num": [...], "den": [...], "weight": nu}': {**CUBIC_PAIR, "omega": ["1"]},
+    "omega.den: denominator is zero": {**CUBIC_PAIR, "omega": {"num": ["1"], "den": ["0"], "weight": 1}},
+    'mobius: expected {"a","b","c","d"} entries': {**CUBIC_PAIR, "mobius": {"a": "1", "d": "1"}},
+    "field.Fp: modulus must be an integer": {**CUBIC_PAIR, "field": {"Fp": "7"}},
+}
+
+
+@pytest.mark.parametrize("message", MALFORMED_DOCUMENTS)
+def test_malformed_document_is_usage_error(tmp_path, capsys, message):
+    path = write_doc(tmp_path, "doc.json", MALFORMED_DOCUMENTS[message])
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_sweep_output_matches_library(tmp_path, capsys):
@@ -339,6 +398,40 @@ def test_gen_rejects_bad_parameters(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "gen", "chebyshev", "--d1", "2", "--d2", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["multiplicative", "--m", "3", "--h", "2"],
+         '{"sigma1": ["0", "0", "0", "1"], "sigma2": ["0", "0", "1"], '
+         '"omega": {"num": ["1"], "den": ["0", "1"], "weight": 1}, "field": "Q"}'),
+        (["chebyshev", "--d1", "3", "--d2", "1"],
+         '{"sigma1": ["0", "-3", "0", "1"], "sigma2": ["0", "1"], '
+         '"omega": {"num": ["1"], "den": ["-4", "0", "1"], "weight": 2}, "field": "Q"}'),
+    ],
+    ids=["multiplicative", "chebyshev"],
+)
+def test_gen_prints_the_frozen_document(capsys, argv, expected):
+    assert run_cli(capsys, "gen", *argv) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multiplicative", "--m", "1025", "--h", "1"],
+        ["multiplicative", "--m", "205", "--h", "2", "--sigma", '["0", "1", "0", "0", "0", "1"]'],
+        ["chebyshev", "--d1", "1025", "--d2", "1"],
+    ],
+    ids=["multiplicative", "multiplicative_sigma", "chebyshev"],
+)
+def test_gen_caps_the_degree_before_computing(capsys, monkeypatch, argv):
+    def unreachable(*args):
+        raise AssertionError("gen computed a pair above the degree cap")
+
+    monkeypatch.setattr("corrforms.cli.multiplicative_pair", unreachable)
+    monkeypatch.setattr("corrforms.cli.chebyshev", unreachable)
+    assert run_cli(capsys, "gen", *argv) == (2, "", "error: gen: deg sigma1 = 1025 must be at most 1024\n")
 
 
 def test_mobius_document_is_applied(tmp_path, capsys):

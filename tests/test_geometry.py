@@ -488,11 +488,9 @@ def test_index_rule_matches_taylor_refinement_when_p_is_at_most_the_degree(field
     assert compared >= 40, compared
 
 
-def test_ramification_degree_matches_the_divisor(monkeypatch):
-    # deg W + e_inf - 1 when p = 0 or p > deg sigma; the tameness-checked divisor otherwise
-    checked = []
-    divisor = geometry.ramification_divisor
-    monkeypatch.setattr(geometry, "ramification_divisor", lambda sigma: checked.append(sigma) or divisor(sigma))
+def test_ramification_degree_matches_the_divisor(count_ramification_places):
+    # deg W + e_inf - 1 in every characteristic; when 0 < p <= deg sigma,
+    # ramification_places runs once first, for the tameness check
     paths = Counter()
     for field, low, high in ((QQ, 2, 8), (GF(101), 2, 8), (GF(7), 7, 10)):
         rng = random.Random(f"ramification degree {field!r}")
@@ -500,19 +498,49 @@ def test_ramification_degree_matches_the_divisor(monkeypatch):
         if field.characteristic != 7:  # planted maps have degree below 7
             maps += _tame_planted_maps(rng, field, 60)
         for sigma in maps:
-            before = len(checked)
+            checked = 0 < field.characteristic <= sigma.degree
             try:
-                expected = divisor(sigma).degree()
+                expected = ramification_divisor(sigma).degree()
             except (InseparableMap, WildRamification, WildInput) as exc:
+                before = len(count_ramification_places)
                 with pytest.raises(type(exc)):
                     _ramification_degree(sigma)
+                assert len(count_ramification_places) - before == checked, sigma
                 paths["rejected"] += 1
                 continue
+            before = len(count_ramification_places)
             assert _ramification_degree(sigma) == expected == 2 * sigma.degree - 2, sigma
-            fast = len(checked) == before
-            assert fast == (not 0 < field.characteristic <= sigma.degree), sigma
-            paths["fast" if fast else "checked"] += 1
+            assert len(count_ramification_places) - before == checked, sigma
+            paths["checked" if checked else "fast"] += 1
     assert paths["fast"] >= 200 and paths["checked"] >= 40, paths
+
+
+def test_ramification_degree_builds_no_divisor(monkeypatch):
+    # over F_7 at degree 7..10 every map takes the tameness check, and the
+    # degree still comes from deg W + e_inf - 1, not from a Divisor
+    rng = random.Random("ramification degree without a divisor")
+    outcomes = []
+    for _ in range(80):
+        sigma = _random_rational_map(rng, GF(7), 7, 10)
+        try:
+            outcomes.append((sigma, ramification_divisor(sigma).degree()))
+        except (InseparableMap, WildRamification, WildInput) as exc:
+            outcomes.append((sigma, type(exc)))
+
+    def no_divisor(*args, **kwargs):
+        raise RuntimeError("a Divisor was built")
+
+    monkeypatch.setattr(geometry, "Divisor", no_divisor)
+    kinds = Counter()
+    for sigma, expected in outcomes:
+        if isinstance(expected, int):
+            assert _ramification_degree(sigma) == expected == 2 * sigma.degree - 2, sigma
+            kinds["tame"] += 1
+        else:
+            with pytest.raises(expected):
+                _ramification_degree(sigma)
+            kinds[expected.__name__] += 1
+    assert kinds["tame"] >= 20 and len(kinds) >= 2, kinds
 
 
 def test_ramification_divisor_frozen():
