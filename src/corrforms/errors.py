@@ -56,4 +56,4 @@ class UnsupportedCharacteristic(CorrformsError):
 
 
 class InputFormatError(ValueError):
-    """Malformed input document or CLI value (exit code 2 territory)."""
+    """Malformed input document, CLI value or sweep() work bound (exit code 2 territory)."""

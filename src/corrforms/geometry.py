@@ -161,8 +161,8 @@ class DifferentialForm:
 class Divisor:
     """Affine closed-point clusters with multiplicities, plus one at infinity.
 
-    Components are monic, squarefree and pairwise coprime; overlapping input
-    components are refined by gcd splitting so multiplicities add correctly.
+    Components are monic and pairwise coprime (overlaps are split by gcd so
+    multiplicities add) and must be squarefree, unchecked: (t**2, 1) is two points.
     """
 
     __slots__ = ("field", "affine", "at_infinity")

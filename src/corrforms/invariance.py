@@ -255,10 +255,9 @@ def ramification_conductor_bound(corr):
 
 def ramification_conductor_check(corr, omega):
     """conductor(omega) <= ramification_conductor_bound(corr) for semi-invariant omega."""
-    _require_d1_above_d2(corr.d1, corr.d2)
+    bound = ramification_conductor_bound(corr)  # first: owns d1 > d2, tameness, Riemann-Hurwitz
     if semi_invariance_ratio(corr, omega) is None:
         raise NotSemiInvariant(f"{omega} is not semi-invariant for {corr!r}")
-    bound = ramification_conductor_bound(corr)
     cond = conductor(omega)
     return BoundCheck(cond, bound, cond <= bound)
 

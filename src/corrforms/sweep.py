@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import CorrformsError, InseparableMap, NotPLocalUnit, UnsupportedCharacteristic, WildRamification
+from .errors import CorrformsError, InputFormatError, InseparableMap, NotPLocalUnit, UnsupportedCharacteristic, WildRamification
 from .field import GF, MAX_PRIME_MODULUS, QQ
 from .geometry import RationalMap, _tame_places
 from .invariance import Correspondence, _solver_inputs, find_primitive
@@ -143,17 +143,18 @@ def _sweep_one(corr, p):
 
 
 def sweep(corr, pmin, pmax, jobs=1):
-    """Reduce at every prime in [pmin, pmax] and search primitives there."""
+    """Reduce at every prime in [pmin, pmax] and search primitives there; the work
+    bounds pmax < 2**31, pmax - pmin <= 10**6, jobs >= 1 are usage errors (InputFormatError)."""
+    if pmax >= MAX_PRIME_MODULUS:
+        raise InputFormatError(f"pmax {pmax} must be below 2**31")
+    if pmax - pmin > _MAX_PRIME_RANGE:
+        raise InputFormatError(f"pmax - pmin must be at most {_MAX_PRIME_RANGE}")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise InputFormatError(f"jobs must be a positive integer (got {jobs})")
     if corr.field.characteristic != 0:
         raise UnsupportedCharacteristic("sweep starts from a pair over Q")
     # surface polynomial/degree precondition failures before looping
     _solver_inputs(corr)
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError("jobs must be a positive integer")
-    if pmax - pmin > _MAX_PRIME_RANGE:
-        raise ValueError(f"pmax - pmin must be at most {_MAX_PRIME_RANGE}")
-    if pmax >= MAX_PRIME_MODULUS:
-        raise ValueError(f"pmax {pmax} must be below 2**31")
     primes = primes_in_range(pmin, pmax)
     work = partial(_sweep_one, corr)
     # a fork pool starts every worker at once: never more than cores or primes

@@ -279,6 +279,42 @@ def test_sweep_rejects_bad_jobs_and_prime_cap(tmp_path, capsys, bad):
     assert err.startswith("error: --") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (("--pmin", "2", "--pmax", "10", "--jobs", "0"), "--jobs must be a positive integer (got 0)"),
+        (("--pmin", "2147483640", "--pmax", "2147483700"), "--pmax 2147483700 must be below 2**31"),
+        (("--pmin", "2", "--pmax", "2147483647"), "--pmax - pmin must be at most 1000000"),
+    ],
+)
+def test_sweep_bounds_are_checked_by_the_library(tmp_path, capsys, monkeypatch, bad, message):
+    # the CLI restates none of sweep()'s bounds: it reaches sweep() and names the flag
+    import importlib
+
+    cli = importlib.import_module("corrforms.cli")
+    calls = []
+
+    def recording_sweep(corr, pmin, pmax, jobs):
+        calls.append((pmin, pmax, jobs))
+        return sweep(corr, pmin, pmax, jobs=jobs)
+
+    monkeypatch.setattr(cli, "sweep", recording_sweep)
+    path = write_doc(tmp_path, "doc.json", CUBIC_PAIR)
+    code, out, err = run_cli(capsys, "sweep", path, *bad)
+    assert len(calls) == 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+INSEPARABLE_FP_DOC = {"sigma1": ["1", "0", "0", "0", "0", "1"], "sigma2": ["0", "1", "1"], "field": {"Fp": 5}}
+
+
+@pytest.mark.parametrize("command", ["detect", "check", "decompose"])
+def test_inseparable_fp_document_is_a_precondition_error(tmp_path, capsys, command):
+    path = write_doc(tmp_path, "doc.json", INSEPARABLE_FP_DOC)
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out, err) == (3, "", "error: sigma1 = t^5 + 1 is inseparable\n")
+
+
 def test_sweep_all_trivial_is_exit_zero(tmp_path, capsys):
     # absence of forms at every prime is a valid answer, not an error
     doc = {"sigma1": ["0", "1", "0", "1"], "sigma2": ["0", "1"]}

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from corrforms import invariance
 from corrforms.errors import (
     HypothesisNotMet,
     NormalizationRequired,
@@ -344,6 +345,29 @@ def test_ramification_conductor_check_rejects_non_invariant():
     t = qp(0, 1)
     with pytest.raises(NotSemiInvariant):
         ramification_conductor_check(corr(t**6, t**2), flat_form_weight1(QQ, 5))
+
+
+def test_ramification_conductor_check_leaves_d1_above_d2_to_the_bound(monkeypatch):
+    # ramification_conductor_bound owns d1 > d2; the check only calls it
+    checked, ratios = [], []
+    require, ratio = invariance._require_d1_above_d2, invariance.semi_invariance_ratio
+
+    def recording_require(d1, d2):
+        checked.append((d1, d2))
+        return require(d1, d2)
+
+    monkeypatch.setattr(invariance, "_require_d1_above_d2", recording_require)
+    monkeypatch.setattr(invariance, "semi_invariance_ratio", lambda c, w: ratios.append(w) or ratio(c, w))
+    t = qp(0, 1)
+    omega = flat_form_weight1(QQ, 0)
+    assert ramification_conductor_check(corr(t**6, t**2), omega).holds
+    assert checked == [(6, 2)] and len(ratios) == 1
+    checked.clear()
+    ratios.clear()
+    for low, high in ((t**2, t**6), (t**3, t**3 + t)):
+        with pytest.raises(UnsupportedEqualDegrees):
+            ramification_conductor_check(corr(low, high), omega)
+    assert checked == [(2, 6), (3, 3)] and ratios == []
 
 
 def test_bound_agreement_random():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from corrforms.errors import UnsupportedCharacteristic
+from corrforms.errors import InputFormatError, UnsupportedCharacteristic
 from corrforms.field import GF, QQ, FpElement, is_prime
 from corrforms.geometry import RationalMap
 from corrforms.invariance import Correspondence, _solver_inputs, find_primitive
@@ -211,6 +211,19 @@ def test_sweep_rejects_bad_arguments():
     t5 = fp(5, 0, 1)
     with pytest.raises(UnsupportedCharacteristic):
         sweep(Correspondence(t5**2 + 1, t5), 7, 11)
+
+
+def test_sweep_checks_its_work_bounds_before_the_field():
+    # the bounds are usage errors, and a ValueError as documented
+    t5 = fp(5, 0, 1)
+    with pytest.raises(InputFormatError, match=r"^pmax 2147483648 must be below 2\*\*31$") as info:
+        sweep(Correspondence(t5**2 + 1, t5), 7, 2**31)
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(InputFormatError, match=r"^pmax - pmin must be at most 1000000$"):
+        sweep(Correspondence(t5**2 + 1, t5), 2, 2 + 10**6 + 1)
+    for jobs in (0, -3, 1.5, "2"):
+        with pytest.raises(InputFormatError, match=rf"^jobs must be a positive integer \(got {jobs}\)$"):
+            sweep(sextic_pair(), 29, 40, jobs=jobs)
 
 
 def test_sweep_rejects_a_wide_prime_range_before_any_prime(monkeypatch):
