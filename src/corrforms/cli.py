@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
-from .errors import CorrformsError, InputFormatError, NormalizationRequired
+from .errors import CorrformsError, InputFormatError, NormalizationRequired, UnsupportedEqualDegrees
 from .field import QQ
 from .geometry import divisor_of_form
 from .invariance import (
@@ -83,13 +82,15 @@ def cmd_check(args):
         "divisor": divisor_to_json(div),
         "conductor": div.support_size(),
     }
-    if ratio is not None and doc.corr.d1 > doc.corr.d2:
-        bound = ramification_conductor_bound(doc.corr)
-        out["bound"] = scalar_str(bound)
-        out["holds"] = out["conductor"] <= bound
-    else:
-        out["bound"] = None
-        out["holds"] = None
+    out["bound"] = out["holds"] = None
+    if ratio is not None:
+        try:
+            bound = ramification_conductor_bound(doc.corr)
+        except UnsupportedEqualDegrees:  # the bound needs d1 > d2
+            pass
+        else:
+            out["bound"] = scalar_str(bound)
+            out["holds"] = out["conductor"] <= bound
     _emit(out)
 
 
@@ -102,11 +103,9 @@ def cmd_detect(args):
 def cmd_sweep(args):
     if args.pmin > args.pmax:
         raise InputFormatError(f"--pmin {args.pmin} exceeds --pmax {args.pmax}")
-    # read per call, not when the cached parser was built
-    jobs = _default_jobs() if args.jobs is None else args.jobs
     doc = _load_document(args.file)
     try:
-        report = sweep(doc.corr, args.pmin, args.pmax, jobs=jobs)
+        report = sweep(doc.corr, args.pmin, args.pmax, jobs=args.jobs)
     except InputFormatError as exc:  # sweep() owns its bounds; name them as flags
         raise InputFormatError(f"--{exc}") from None
     for entry in report.entries:
@@ -165,15 +164,6 @@ def _check_gen_degree(degree):
         raise InputFormatError(f"gen: deg sigma1 = {degree} must be at most {_MAX_GEN_DEGREE}")
 
 
-def _default_jobs():
-    raw = os.environ.get("CORRFORMS_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        return 1
-    return max(jobs, 1)
-
-
 @functools.cache
 def build_parser():
     """The argument parser, built once per process."""
@@ -196,7 +186,7 @@ def build_parser():
     p_sweep.add_argument("file")
     p_sweep.add_argument("--pmin", type=int, required=True)
     p_sweep.add_argument("--pmax", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int)
+    p_sweep.add_argument("--jobs", type=int, default=1, help="validated; has no effect")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_dec = sub.add_parser("decompose", help="recognize a common-power pair")

@@ -424,11 +424,13 @@ def _ramification_degree(sigma):
     Every affine index is e = k + 1 for a zero of order k of the Wronskian W,
     so the affine part of R_sigma has degree deg W, with no gcd.  An index
     can be divisible by p only when 0 < p <= deg sigma; only then is
-    `_tame_places` called first, which raises on a wild or inseparable map.
+    `_tame_places` called, which raises on a wild or inseparable map, and
+    deg W is read off its places as the sum of (e - 1) deg cluster.
     """
     body = sigma.body
     if 0 < body.field.characteristic <= sigma.degree:
-        _tame_places(sigma)
+        places = _tame_places(sigma)
+        return sum((e - 1) * cluster.degree for cluster, e in places.affine) + places.infinity - 1
     return _wronskian(body).degree + _infinity_chart(body.num, body.den)[0] - 1
 
 

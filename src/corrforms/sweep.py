@@ -4,16 +4,14 @@ Good reduction at p means: no coefficient denominator divisible by p, both
 degrees preserved, numerator and denominator still coprime, and the reduced
 maps separable and tame.  Skip reasons are values, never exceptions, so a
 sweep cannot abort half way; entries are computed by a pure per-prime
-function and come back in prime order: the report is independent of --jobs.
+function, in one process and in prime order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import CorrformsError, InputFormatError, InseparableMap, NotPLocalUnit, UnsupportedCharacteristic, WildRamification
 from .field import GF, MAX_PRIME_MODULUS, QQ
@@ -21,16 +19,6 @@ from .geometry import RationalMap, _tame_places
 from .invariance import Correspondence, _solver_inputs, find_primitive
 from .poly import Polynomial, squarefree_decompose
 from .ratfunc import RationalFunction
-
-
-def ProcessPoolExecutor(max_workers):
-    """concurrent.futures.ProcessPoolExecutor, imported on first use.
-
-    Its import loads multiprocessing, which only a parallel sweep needs.
-    """
-    import concurrent.futures
-
-    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 _MAX_PRIME_RANGE = 10**6  # the widest [pmin, pmax] that sweep accepts
@@ -143,28 +131,22 @@ def _sweep_one(corr, p):
 
 
 def sweep(corr, pmin, pmax, jobs=1):
-    """Reduce at every prime in [pmin, pmax] and search primitives there; the work
-    bounds pmax < 2**31, pmax - pmin <= 10**6, jobs >= 1 are usage errors (InputFormatError)."""
+    """Reduce at every prime in [pmin, pmax] and search primitives there, in one process.
+
+    The work bounds pmax < 2**31, pmax - pmin <= 10**6 and a positive int jobs
+    are usage errors (InputFormatError); jobs is validated and has no effect.
+    """
     if pmax >= MAX_PRIME_MODULUS:
         raise InputFormatError(f"pmax {pmax} must be below 2**31")
     if pmax - pmin > _MAX_PRIME_RANGE:
         raise InputFormatError(f"pmax - pmin must be at most {_MAX_PRIME_RANGE}")
-    if not isinstance(jobs, int) or jobs < 1:
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise InputFormatError(f"jobs must be a positive integer (got {jobs})")
     if corr.field.characteristic != 0:
         raise UnsupportedCharacteristic("sweep starts from a pair over Q")
     # surface polynomial/degree precondition failures before looping
     _solver_inputs(corr)
-    primes = primes_in_range(pmin, pmax)
-    work = partial(_sweep_one, corr)
-    # a fork pool starts every worker at once: never more than cores or primes
-    workers = min(jobs, len(primes), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(work, primes))
-    else:
-        entries = [work(p) for p in primes]
-    return SweepReport(tuple(entries))
+    return SweepReport(tuple(_sweep_one(corr, p) for p in primes_in_range(pmin, pmax)))
 
 
 @dataclass(frozen=True)

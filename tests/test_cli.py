@@ -88,18 +88,17 @@ def test_check_rejects_bad_omega_file(tmp_path, capsys):
 
 
 def test_check_accepts_equal_degrees_without_bound(tmp_path, capsys):
-    doc = {
-        "sigma1": ["0", "0", "1"],
-        "sigma2": ["0", "0", "1"],
-        "omega": {"num": ["1"], "den": ["0", "1"], "weight": 1},
-    }
-    path = write_doc(tmp_path, "doc.json", doc)
-    code, out, err = run_cli(capsys, "check", path)
-    assert code == 0
-    got = json.loads(out)
-    assert got["semi_invariant"] is True
-    assert got["lambda"] == "1"
-    assert got["bound"] is None and got["holds"] is None
+    # no bound unless d1 > d2: (t^2, t^2) with lambda 1, and (t^2, t^3) with lambda 2/3
+    omega = {"num": ["1"], "den": ["0", "1"], "weight": 1}
+    for sigma2, lam in ((["0", "0", "1"], "1"), (["0", "0", "0", "1"], "2/3")):
+        doc = {"sigma1": ["0", "0", "1"], "sigma2": sigma2, "omega": omega}
+        path = write_doc(tmp_path, "doc.json", doc)
+        code, out, err = run_cli(capsys, "check", path)
+        assert code == 0
+        got = json.loads(out)
+        assert got["semi_invariant"] is True
+        assert got["lambda"] == lam
+        assert got["bound"] is None and got["holds"] is None
 
 
 def test_detect_weight1(tmp_path, capsys):
@@ -230,9 +229,8 @@ def test_sweep_jobs_flag_is_deterministic(tmp_path, capsys):
 
 
 def test_sweep_reads_corrforms_jobs_on_every_call(tmp_path, capsys, monkeypatch):
-    # the parser is built once per process, so --jobs must not take its
-    # default from the environment at build time.  A recording sweep stands
-    # in for the real one, so no process is started.
+    # CORRFORMS_JOBS is ignored: --jobs reaches sweep() as given, else as 1,
+    # and the parser is built once per process.
     import importlib
 
     cli = importlib.import_module("corrforms.cli")
@@ -252,7 +250,7 @@ def test_sweep_reads_corrforms_jobs_on_every_call(tmp_path, capsys, monkeypatch)
     outs.append(run_cli(capsys, *argv, "--jobs", "2"))
     monkeypatch.delenv("CORRFORMS_JOBS")
     outs.append(run_cli(capsys, *argv))
-    assert widths == [3, 1, 1, 1, 2, 1]
+    assert widths == [1, 1, 1, 1, 2, 1]
     assert len(set(outs)) == 1 and outs[0][0] == 0
     assert cli.build_parser() is cli.build_parser()
 

@@ -543,6 +543,20 @@ def test_ramification_degree_builds_no_divisor(monkeypatch):
     assert kinds["tame"] >= 20 and len(kinds) >= 2, kinds
 
 
+def test_ramification_degree_builds_one_wronskian(monkeypatch):
+    # when 0 < p <= deg sigma, deg W is read off the places of the tameness check
+    sigma = RationalMap(fp(7, 0, 1, 0, 1, 0, 0, 0, 0, 1))  # t^8 + t^3 + t over F_7
+    calls = []
+
+    def counted(body):
+        calls.append(body)
+        return _wronskian(body)
+
+    monkeypatch.setattr(geometry, "_wronskian", counted)
+    assert _ramification_degree(sigma) == 14
+    assert len(calls) == 1
+
+
 def test_ramification_divisor_frozen():
     t = qp(0, 1)
     r = ramification_divisor(RationalMap(t**5))

@@ -1,7 +1,8 @@
 """Every module of the package uses every name it imports, every private
 module-level helper has a caller, no module-level function or class is
-defined in two modules, importing the package loads no process pool, and
-every name the benchmark's tracer hooks still exists.
+defined in two modules, no module imports process, thread or subprocess
+machinery, importing the package loads no process pool, and every name the
+benchmark's tracer hooks still exists.
 
 The package's __init__ is exempt from the import check: it imports names
 to re-export them.
@@ -89,8 +90,23 @@ def test_no_definition_in_two_modules():
     assert not twice, f"defined in more than one module: {twice}"
 
 
+ONE_PROCESS_FORBIDS = {"concurrent", "multiprocessing", "threading", "subprocess"}
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGE_TREES))
+def test_package_stays_in_one_process(name):
+    # every sweep runs in one process; a function-local import counts too
+    roots = set()
+    for node in ast.walk(PACKAGE_TREES[name]):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    assert not roots & ONE_PROCESS_FORBIDS, f"{name} imports {sorted(roots & ONE_PROCESS_FORBIDS)}"
+
+
 def test_import_does_not_load_multiprocessing():
-    # only a parallel sweep needs the process pool; it imports it on first use
+    # every sweep runs in one process, so nothing in the package needs a process pool
     code = "import sys, corrforms, corrforms.cli; print('multiprocessing' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(corrforms.__file__).parent.parent))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

@@ -8,8 +8,12 @@ vanish when p divides them, and so on).
 """
 
 import importlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -221,7 +225,7 @@ def test_sweep_checks_its_work_bounds_before_the_field():
     assert isinstance(info.value, ValueError)
     with pytest.raises(InputFormatError, match=r"^pmax - pmin must be at most 1000000$"):
         sweep(Correspondence(t5**2 + 1, t5), 2, 2 + 10**6 + 1)
-    for jobs in (0, -3, 1.5, "2"):
+    for jobs in (0, -3, 1.5, "2", True):
         with pytest.raises(InputFormatError, match=rf"^jobs must be a positive integer \(got {jobs}\)$"):
             sweep(sextic_pair(), 29, 40, jobs=jobs)
 
@@ -396,35 +400,26 @@ def test_chebyshev_scales_weight_two_flat_form():
         assert got.coeff == RationalFunction(qp(d * d), t**2 - 4)
 
 
-def test_sweep_worker_count_is_bounded(monkeypatch):
-    # a fork pool starts all its workers at once; the width must be capped by
-    # the cores and the primes, whatever jobs asks for.  No process is started.
-    import importlib
-    import os
-
-    widths = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    module = importlib.import_module("corrforms.sweep")
-    monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
+def test_sweep_worker_count_is_bounded():
+    # every sweep runs in one process: jobs is validated and has no effect,
+    # and a sweep loads no process pool, even when jobs asks for a million
     c = sextic_pair()
-    bound = min(os.cpu_count() or 1, len(primes_in_range(2, 50)))
     par = sweep(c, 2, 50, jobs=10**6)
-    assert len(widths) == (1 if bound > 1 else 0)
-    assert all(w <= bound for w in widths)
     assert par.entries == sweep(c, 2, 50, jobs=1).entries
+    code = (
+        "import sys\n"
+        "from corrforms.field import QQ\n"
+        "from corrforms.invariance import Correspondence\n"
+        "from corrforms.poly import Polynomial\n"
+        "from corrforms.sweep import sweep\n"
+        "s2 = Polynomial(QQ, [1, 0, 1])\n"
+        "report = sweep(Correspondence(s2**3, s2), 2, 50, jobs=10**6)\n"
+        "print(len(report.entries), 'multiprocessing' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sweep_module.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(len(par.entries)), "False"]
 
 
 def test_decompose_power_pair_exponent_oracle():
