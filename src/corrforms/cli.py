@@ -24,6 +24,7 @@ from .invariance import (
     semi_invariance_ratio,
 )
 from .serialize import (
+    _MAX_DEGREE,
     decomposition_to_json,
     divisor_to_json,
     document_from_json,
@@ -36,9 +37,6 @@ from .serialize import (
     sweep_summary_to_json,
 )
 from .sweep import chebyshev, decompose_power_pair, multiplicative_pair, sweep
-
-
-_MAX_GEN_DEGREE = 1024  # the largest degree of the sigma1 that gen writes
 
 
 def _emit(obj):
@@ -160,8 +158,8 @@ def cmd_gen(args):
 
 
 def _check_gen_degree(degree):
-    if degree > _MAX_GEN_DEGREE:
-        raise InputFormatError(f"gen: deg sigma1 = {degree} must be at most {_MAX_GEN_DEGREE}")
+    if degree > _MAX_DEGREE:
+        raise InputFormatError(f"gen: deg sigma1 = {degree} must be at most {_MAX_DEGREE}")
 
 
 @functools.cache

@@ -26,7 +26,7 @@ verdict, skip reason and WildRamification comes from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     FieldMismatch,
@@ -312,8 +312,7 @@ def conductor(omega):
     return divisor_of_form(omega).support_size()
 
 
-@dataclass(frozen=True)
-class RamificationPlaces:
+class RamificationPlaces(NamedTuple):
     """Exact ramification data of a separable map.
 
     affine: coprime squarefree clusters with their index e >= 2 (poles included);

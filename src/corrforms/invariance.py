@@ -12,7 +12,6 @@ one triangular linear system then forces the coefficients of h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,10 +30,9 @@ from .geometry import (
     _ramification_degree,
     conductor,
     divisor_of_form,
-    pullback,
 )
-from .poly import Polynomial, _inverse
-from .ratfunc import RationalFunction
+from .poly import Polynomial, _inverse, compose_with_quotient
+from .ratfunc import RationalFunction, _wronskian
 
 
 class Correspondence:
@@ -86,17 +84,32 @@ def flat_form_weight2(field, s, q):
     return DifferentialForm(RationalFunction(Polynomial.one(field), den), 2)
 
 
+def _pulled_back(sigma, omega):
+    """(P, Q), unreduced, with sigma^* omega = (P/Q) (dt)^nu for sigma = A/B and omega = (f/g) (dt)^nu:
+    P = B^n f(A/B) W^nu and Q = B^n g(A/B) B^(2 nu), n = max(deg f, deg g), for the Wronskian W;
+    W and B^2 swap if nu < 0."""
+    f, g, nu = omega.coeff.num, omega.coeff.den, omega.weight
+    n = max(f.degree, g.degree)
+    a, b = sigma.body.num, sigma.body.den
+    top, bottom = _wronskian(sigma.body), b * b
+    if nu < 0:
+        top, bottom, nu = bottom, top, -nu
+    return compose_with_quotient(f, a, b, n) * top**nu, compose_with_quotient(g, a, b, n) * bottom**nu
+
+
 def semi_invariance_ratio(corr, omega):
-    """lambda with sigma1^* omega = lambda sigma2^* omega, or None."""
-    w1 = pullback(corr.sigma1, omega).coeff
-    w2 = pullback(corr.sigma2, omega).coeff
-    # reduced with monic denominators, so w1 = lambda w2 exactly when the
-    # denominators agree and w1.num = lambda w2.num: no quotient to build
-    if w1.den != w2.den or w1.num.degree != w2.num.degree:
+    """lambda with sigma1^* omega = lambda sigma2^* omega, or None.
+
+    That is P1 Q2 = lambda P2 Q1 for (P_i, Q_i) from `_pulled_back`; lambda is
+    the ratio of leading coefficients, and no gcd or quotient is taken.
+    """
+    p1, q1 = _pulled_back(corr.sigma1, omega)
+    p2, q2 = _pulled_back(corr.sigma2, omega)
+    if p1.degree + q2.degree != p2.degree + q1.degree:
         return None
     field = corr.field
-    lam = field.raw(w1.num.coeffs[-1] * _inverse(w2.num.coeffs[-1], field.characteristic))
-    return field.wrap(lam) if w2.num._scaled(lam) == w1.num else None
+    lam = field.raw(p1.coeffs[-1] * q2.coeffs[-1] * _inverse(p2.coeffs[-1] * q1.coeffs[-1], field.characteristic))
+    return field.wrap(lam) if p1 * q2 == (p2 * q1)._scaled(lam) else None
 
 
 class Weight1Solution(NamedTuple):
@@ -178,8 +191,7 @@ def solve_weight2_flat(corr):
     return Weight2Solution(s, q, lam, s * s == 4 * q)
 
 
-@dataclass(frozen=True)
-class GroupReport:
+class GroupReport(NamedTuple):
     """Outcome of the primitive search.
 
     status is "trivial" or "cyclic"; complete records whether d1 >= 14*d2,
@@ -228,8 +240,7 @@ def genus_conductor_bound(g_x, g_y, d1, d2):
     return Fraction(3 * (2 * g_x - 2) - (2 * d1 + d2) * (2 * g_y - 2), d1 - d2)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     conductor: int
     bound: Fraction
     holds: bool

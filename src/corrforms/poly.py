@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import FieldMismatch, WildInput
 
@@ -380,8 +380,7 @@ def gcd_monic(a, b):
     return a.monic()
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
+class SquarefreeDecomposition(NamedTuple):
     """a = unit * prod(part^multiplicity) with monic, pairwise-coprime parts."""
 
     unit: object

@@ -20,6 +20,7 @@ from .poly import Polynomial
 from .ratfunc import RationalFunction
 
 _MAX_FORM_WEIGHT = 64  # the largest |weight| a document's form may carry
+_MAX_DEGREE = 1024  # the largest degree of a parsed polynomial, and of the sigma1 that gen writes
 
 
 def scalar_str(x):
@@ -48,7 +49,10 @@ def poly_to_json(poly):
 def poly_from_json(field, data, where):
     if not isinstance(data, list):
         raise InputFormatError(f"{where}: expected a coefficient array")
-    return Polynomial(field, [parse_scalar(field, c, f"{where}[{i}]") for i, c in enumerate(data)])
+    poly = Polynomial(field, [parse_scalar(field, c, f"{where}[{i}]") for i, c in enumerate(data)])
+    if poly.degree > _MAX_DEGREE:
+        raise InputFormatError(f"{where}: degree {poly.degree} must be at most {_MAX_DEGREE}")
+    return poly
 
 
 def map_from_json(field, data, where):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CorrformsError, InputFormatError, InseparableMap, NotPLocalUnit, UnsupportedCharacteristic, WildRamification
 from .field import GF, MAX_PRIME_MODULUS, QQ
@@ -77,11 +77,10 @@ def reduce_mod_p(corr, p):
     return Correspondence(reduced[0], reduced[1])
 
 
-@dataclass(frozen=True, slots=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     """Per-prime outcome; guard records whether 2*d1*d2 < p.
 
-    Slotted: a report keeps one entry per prime of the range."""
+    A plain tuple, no instance dict: a report keeps one entry per prime of the range."""
 
     p: int
     guard: bool
@@ -92,8 +91,7 @@ class SweepEntry:
     params: dict | None = None
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     entries: tuple
 
     def counts(self):
@@ -149,8 +147,7 @@ def sweep(corr, pmin, pmax, jobs=1):
     return SweepReport(tuple(_sweep_one(corr, p) for p in primes_in_range(pmin, pmax)))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """sigma1 = lambda1 sigma^m, sigma2 = lambda2 sigma^h, gcd(m, h) = 1, sigma monic."""
 
     sigma: Polynomial

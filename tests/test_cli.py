@@ -13,6 +13,7 @@ from corrforms.field import QQ
 from corrforms.invariance import Correspondence, find_primitive
 from corrforms.poly import Polynomial, SquarefreeDecomposition
 from corrforms.ratfunc import _wronskian
+from corrforms.serialize import poly_from_json
 from corrforms.sweep import sweep
 
 from conftest import qp
@@ -466,6 +467,40 @@ def test_gen_caps_the_degree_before_computing(capsys, monkeypatch, argv):
     monkeypatch.setattr("corrforms.cli.multiplicative_pair", unreachable)
     monkeypatch.setattr("corrforms.cli.chebyshev", unreachable)
     assert run_cli(capsys, "gen", *argv) == (2, "", "error: gen: deg sigma1 = 1025 must be at most 1024\n")
+
+
+TOO_HIGH = ["0"] * 1025 + ["1"]  # t^1025, one degree above the cap
+
+
+@pytest.mark.parametrize(
+    "command, doc, omega, where",
+    [
+        ("check", {**CUBIC_PAIR, "sigma1": TOO_HIGH}, None, "sigma1"),
+        ("check", {**CUBIC_PAIR, "omega": {**CUBIC_PAIR["omega"], "den": TOO_HIGH}}, None, "omega.den"),
+        ("check", {"sigma1": ["0", "1", "1"], "sigma2": ["0", "1"]}, {**CUBIC_PAIR["omega"], "num": TOO_HIGH}, "omega.num"),
+        ("detect", {**CUBIC_PAIR, "sigma2": {"num": TOO_HIGH, "den": ["1", "1"]}}, None, "sigma2.num"),
+    ],
+    ids=["check_sigma1", "check_omega_den", "check_omega_file", "detect_sigma2_num"],
+)
+def test_documents_cap_polynomial_degrees_before_computing(tmp_path, capsys, monkeypatch, command, doc, omega, where):
+    def unreachable(*args):
+        raise AssertionError("a polynomial above the degree cap reached the library")
+
+    monkeypatch.setattr("corrforms.cli.semi_invariance_ratio", unreachable)
+    monkeypatch.setattr("corrforms.cli.find_primitive", unreachable)
+    argv = [command, write_doc(tmp_path, "doc.json", doc)]
+    if omega is not None:
+        argv += ["--omega", write_doc(tmp_path, "omega.json", omega)]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {where}: degree 1025 must be at most 1024\n")
+
+
+def test_degree_cap_counts_the_degree_not_the_array(tmp_path, capsys):
+    # trailing zeros are stripped first, and degree 1024 itself is accepted
+    assert poly_from_json(QQ, ["0"] * 1024 + ["1"], "x").degree == 1024
+    doc = {**CUBIC_PAIR, "sigma1": CUBIC_PAIR["sigma1"] + ["0"] * 2000}
+    assert run_cli(capsys, "check", write_doc(tmp_path, "doc.json", doc)) == run_cli(
+        capsys, "check", write_doc(tmp_path, "cubic.json", CUBIC_PAIR)
+    )
 
 
 def test_mobius_document_is_applied(tmp_path, capsys):

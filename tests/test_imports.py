@@ -1,8 +1,9 @@
 """Every module of the package uses every name it imports, every private
 module-level helper has a caller, no module-level function or class is
 defined in two modules, no module imports process, thread or subprocess
-machinery, importing the package loads no process pool, and every name the
-benchmark's tracer hooks still exists.
+machinery, importing the package loads no process pool and neither
+dataclasses nor inspect, and every name the benchmark's tracer hooks still
+exists.
 
 The package's __init__ is exempt from the import check: it imports names
 to re-export them.
@@ -112,6 +113,15 @@ def test_import_does_not_load_multiprocessing():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # result records are NamedTuples; dataclasses would pull in inspect, ast, dis and tokenize
+    code = "import sys, corrforms, corrforms.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(corrforms.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_benchmark_tracer_finds_every_hooked_name():

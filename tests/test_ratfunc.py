@@ -4,8 +4,9 @@ Products, quotients, powers and compositions of reduced operands are built
 without the full gcd of RationalFunction(num, den); each must still return
 exactly what that constructor returns on the unreduced numerator and
 denominator, down to the stored coefficient tuples.  semi_invariance_ratio
-compares the two pullbacks without forming their quotient; it must agree
-with the definition "sigma1^* omega / sigma2^* omega is a constant".
+tests the cross-multiplied identity P1 Q2 = lambda P2 Q1 and takes no gcd;
+it must agree with the definition "sigma1^* omega / sigma2^* omega is a
+constant", in value and in type.
 """
 
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from corrforms import invariance, ratfunc
+from corrforms import ratfunc
 from corrforms.field import GF, QQ
 from corrforms.geometry import DifferentialForm, MobiusTransform, RationalMap, mobius_conjugate, pullback
 from corrforms.invariance import Correspondence, flat_form_weight1, flat_form_weight2, semi_invariance_ratio
@@ -147,6 +148,28 @@ def semi_invariance_cases():
     yield Correspondence(sigma, Polynomial(QQ, [0, 3, 1, 1])), dt, None
     yield Correspondence(sigma, sigma * Fraction(2, 7) + 5), dt, Fraction(7, 2)
     yield Correspondence(sigma, Polynomial(QQ, [4, 1, 0, 1])), dt, None
+    # over F_p the Moebius-conjugated (dt/t)^nu has ratio (m/h)^nu, for every sign of nu
+    for field, (m, h) in ((GF(7), (3, 2)), (GF(101), (5, 3))):
+        u = Polynomial.variable(field)
+        phi = MobiusTransform(field, 1, 2, 1, 3)
+        back = phi.inverse().as_map()
+        corr = Correspondence(*(mobius_conjugate(RationalMap(u**k), phi) for k in (m, h)))
+        for nu in (-2, -1, 3):
+            omega = pullback(back, DifferentialForm(RationalFunction(u) ** -nu, nu))
+            yield corr, omega, field.scalar(Fraction(m, h) ** nu)
+        yield corr, pullback(back, flat_form_weight2(field, 0, -4)), None
+    # sigma2 = psi o sigma1 for psi(t) = 1/t, and psi^* (g/t^s)(dt)^nu = (-1)^nu (g/t^s)(dt)^nu
+    # when g is palindromic of degree 2s - 2nu; so lambda = (-1)^nu, and breaking the palindrome misses
+    for field in (QQ, GF(7), GF(101)):
+        u = Polynomial.variable(field)
+        s1 = mobius_conjugate(RationalMap(u**3 + u), MobiusTransform(field, 2, 1, 1, 1))
+        corr = Correspondence(s1, RationalMap(1 / s1.body))
+        for nu, s, g in ((3, 4, [1, 3, 1]), (-1, 1, [1, 2, 5, 2, 1]), (-2, 1, [1, 1, 3, 4, 3, 1, 1])):
+            g = Polynomial(field, g)
+            omega = DifferentialForm(RationalFunction(g, u**s), nu)
+            assert omega.coeff.num.degree > 0 and omega.coeff.den.degree > 0
+            yield corr, omega, field.scalar(-1 if nu % 2 else 1)
+            yield corr, DifferentialForm(RationalFunction(g + 1, u**s), nu), None
 
 
 @pytest.mark.parametrize("case", list(semi_invariance_cases()))
@@ -189,8 +212,6 @@ def test_compose_pow_and_ratio_comparison_take_no_gcd(monkeypatch):
     x, y, four = RationalFunction(t**2 + t), RationalFunction(t**3 - 7), RationalFunction(4 * t**0)
     corr = Correspondence(chebyshev(6), chebyshev(2))
     omega = flat_form_weight2(QQ, 0, -4)
-    # pullbacks multiply by a power of sigma', which may cancel: computed here
-    pulled = {id(s): pullback(s, omega) for s in (corr.sigma1, corr.sigma2)}
     calls = []
 
     def counted(a, b):
@@ -198,7 +219,6 @@ def test_compose_pow_and_ratio_comparison_take_no_gcd(monkeypatch):
         return gcd_monic(a, b)
 
     monkeypatch.setattr(ratfunc, "gcd_monic", counted)
-    monkeypatch.setattr(invariance, "pullback", lambda sigma, form: pulled[id(sigma)])
     f.compose(inner), f.compose(x), x.compose(f)
     f**5, f**-3, inner**2
     x * y, x / four
