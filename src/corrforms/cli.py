@@ -24,6 +24,7 @@ from .invariance import (
     semi_invariance_ratio,
 )
 from .serialize import (
+    _MAX_CHECK_DEGREE,
     _MAX_DEGREE,
     decomposition_to_json,
     divisor_to_json,
@@ -71,6 +72,13 @@ def cmd_check(args):
         omega = form_from_json(doc.field, _read_json(args.omega), "omega")
     if omega is None:
         raise InputFormatError("check needs a form: embed \"omega\" or pass --omega FILE")
+    n = max(omega.coeff.num.degree, omega.coeff.den.degree)
+    work = max(doc.corr.d1, doc.corr.d2) * (n + 2 * abs(omega.weight))
+    if work > _MAX_CHECK_DEGREE:
+        raise InputFormatError(
+            f"check: max(d1, d2) * (n + 2|weight|) = {work} must be at most {_MAX_CHECK_DEGREE},"
+            " where n is the larger degree of omega's num and den"
+        )
     ratio = semi_invariance_ratio(doc.corr, omega)
     div = divisor_of_form(omega)
     out = {

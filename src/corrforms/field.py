@@ -229,7 +229,9 @@ class PrimeField:
         if isinstance(value, str):
             value = parse_rational(value)
         if isinstance(value, Fraction):
-            return _fraction_residue(value, p)
+            if value.denominator % p == 0:
+                raise NotPLocalUnit(f"denominator of {value} is divisible by {p}")
+            return value.numerator * pow(value.denominator, -1, p) % p
         raise FieldMismatch(
             f"cannot interpret {type(value).__name__} as an F_{p} element"
         )
@@ -262,15 +264,9 @@ def GF(p):
     return PrimeField(p)
 
 
-def _fraction_residue(x, p):
-    if x.denominator % p == 0:
-        raise NotPLocalUnit(f"denominator of {x} is divisible by {p}")
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
 def reduce_mod(x, field):
     """Reduce a rational m/n into F_p; requires p to not divide n."""
-    return field.wrap(_fraction_residue(Fraction(x), field.p))
+    return field.scalar(Fraction(x))
 
 
 def reduce_unit_mod_p(x, p):

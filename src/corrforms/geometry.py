@@ -21,7 +21,9 @@ Ramification is computed in two charts:
 So the affine part of R_sigma has degree deg W, and in every characteristic
 deg R_sigma = deg W + e_inf - 1 needs no squarefree decomposition.  Whether
 p divides an index is tested in one place, `_tame_places`; every tameness
-verdict, skip reason and WildRamification comes from it.
+verdict, skip reason and WildRamification comes from it, but one: the flat
+solvers' `_solver_inputs` refuses p | deg sigma itself, which for a
+polynomial map is the test of tameness at infinity.
 """
 
 from __future__ import annotations
@@ -369,20 +371,14 @@ def ramification_places(sigma):
     return RamificationPlaces(tuple(entries), e_inf, image_infinite, image_value)
 
 
-class Tameness:
+class Tameness(NamedTuple):
     """Boolean verdict with a witness for the wild place, if any."""
 
-    __slots__ = ("tame", "witness")
-
-    def __init__(self, tame, witness=None):
-        self.tame = tame
-        self.witness = witness
+    tame: bool
+    witness: object = None
 
     def __bool__(self):
         return self.tame
-
-    def __repr__(self):
-        return f"Tameness({self.tame}, witness={self.witness!r})"
 
 
 def is_tame(sigma):

@@ -21,14 +21,11 @@ from .ratfunc import RationalFunction
 
 _MAX_FORM_WEIGHT = 64  # the largest |weight| a document's form may carry
 _MAX_DEGREE = 1024  # the largest degree of a parsed polynomial, and of the sigma1 that gen writes
+_MAX_CHECK_DEGREE = 8192  # the largest max(d1, d2) * (n + 2|nu|), which bounds deg P, deg Q in check
 
 
 def scalar_str(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, FpElement):
-        return str(x.residue)
-    if isinstance(x, int):
+    if isinstance(x, (Fraction, FpElement, int)):  # FpElement prints its residue
         return str(x)
     raise TypeError(f"not a scalar: {x!r}")
 
@@ -82,7 +79,7 @@ def map_to_json(sigma):
 
 
 def form_from_json(field, data, where):
-    if not isinstance(data, dict) or not {"num", "den", "weight"} <= set(data):
+    if not isinstance(data, dict) or set(data) != {"num", "den", "weight"}:
         raise InputFormatError(
             f'{where}: expected {{"num": [...], "den": [...], "weight": nu}}'
         )
@@ -196,17 +193,9 @@ def sweep_entry_to_json(entry):
 
 def sweep_summary_to_json(report):
     counts = report.counts()
-    return {
-        "summary": {
-            "primes": counts["primes"],
-            "good": counts["good"],
-            "skipped": counts["skipped"],
-            "trivial": counts["trivial"],
-            "weight1": counts["weight1"],
-            "weight2": counts["weight2"],
-            "weight1_evidence": report.weight1_evidence,
-        }
-    }
+    summary = {k: counts[k] for k in ("primes", "good", "skipped", "trivial", "weight1", "weight2")}
+    summary["weight1_evidence"] = report.weight1_evidence
+    return {"summary": summary}
 
 
 def decomposition_to_json(dec):

@@ -97,12 +97,7 @@ class SweepReport(NamedTuple):
     def counts(self):
         out = {"primes": len(self.entries), "skipped": 0, "trivial": 0, "weight1": 0, "weight2": 0}
         for e in self.entries:
-            if e.status == "skipped":
-                out["skipped"] += 1
-            elif e.status == "trivial":
-                out["trivial"] += 1
-            else:
-                out["weight1" if e.weight == 1 else "weight2"] += 1
+            out[f"weight{e.weight}" if e.status == "cyclic" else e.status] += 1
         out["good"] = out["primes"] - out["skipped"]
         return out
 

@@ -503,6 +503,56 @@ def test_degree_cap_counts_the_degree_not_the_array(tmp_path, capsys):
     )
 
 
+def _power(d):
+    return ["0"] * d + ["1"]  # t^d
+
+
+def _reaches_ratio(monkeypatch):
+    """Replace the semi-invariance test by a stand-in; the list records its calls."""
+    calls = []
+    monkeypatch.setattr("corrforms.cli.semi_invariance_ratio", lambda *args: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "doc, omega, work",
+    [
+        ({"sigma1": _power(91), "sigma2": _power(2), "omega": {"num": _power(90), "den": ["1"], "weight": 1}}, None, 8372),
+        ({"sigma1": _power(1024), "sigma2": _power(1)}, {"num": ["1"], "den": _power(5), "weight": 2}, 9216),
+        ({"sigma1": _power(1), "sigma2": _power(1024)}, {"num": ["1"], "den": ["0", "1"], "weight": -4}, 9216),
+    ],
+    ids=["embedded", "omega_file", "negative_weight_larger_d2"],
+)
+def test_check_bounds_the_pullback_degree_before_computing(tmp_path, capsys, monkeypatch, doc, omega, work):
+    calls = _reaches_ratio(monkeypatch)
+    argv = ["check", write_doc(tmp_path, "doc.json", doc)]
+    if omega is not None:
+        argv += ["--omega", write_doc(tmp_path, "omega.json", omega)]
+    message = (
+        f"error: check: max(d1, d2) * (n + 2|weight|) = {work} must be at most 8192,"
+        " where n is the larger degree of omega's num and den\n"
+    )
+    assert run_cli(capsys, *argv) == (2, "", message)
+    assert calls == []
+
+
+def test_check_accepts_the_pullback_degree_bound_itself(tmp_path, capsys, monkeypatch):
+    calls = _reaches_ratio(monkeypatch)
+    doc = {"sigma1": _power(1024), "sigma2": _power(1), "omega": {"num": ["1"], "den": _power(4), "weight": 2}}
+    code, out, err = run_cli(capsys, "check", write_doc(tmp_path, "doc.json", doc))  # 1024 * (4 + 2 * 2) = 8192
+    assert (code, err, len(calls)) == (0, "", 1)
+    assert json.loads(out)["semi_invariant"] is False
+
+
+def test_form_with_an_unknown_key_is_refused(tmp_path, capsys):
+    omega = {**CUBIC_PAIR["omega"], "typo": 3}
+    refusal = (2, "", 'error: omega: expected {"num": [...], "den": [...], "weight": nu}\n')
+    maps = {"sigma1": CUBIC_PAIR["sigma1"], "sigma2": CUBIC_PAIR["sigma2"]}
+    assert run_cli(capsys, "check", write_doc(tmp_path, "doc.json", {**maps, "omega": omega})) == refusal
+    argv = ["check", write_doc(tmp_path, "maps.json", maps), "--omega", write_doc(tmp_path, "omega.json", omega)]
+    assert run_cli(capsys, *argv) == refusal
+
+
 def test_mobius_document_is_applied(tmp_path, capsys):
     doc = {
         "sigma1": ["0", "0", "0", "1"],

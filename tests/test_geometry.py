@@ -25,6 +25,7 @@ from corrforms.geometry import (
     Divisor,
     MobiusTransform,
     RationalMap,
+    Tameness,
     _ramification_degree,
     check_order_identity,
     conductor,
@@ -269,6 +270,13 @@ def test_divisor_refinement_and_arithmetic():
     assert d.support_size() == 2
     assert d.affine_support_size() == 2
     assert Divisor(QQ, [], -1).support_size() == 1
+
+
+def test_divisor_drops_zero_multiplicities_and_constant_components():
+    t = qp(0, 1)
+    d = Divisor(QQ, [(t, 0), (Polynomial.constant(QQ, 3), 2), (t - 1, 1)])
+    assert d == Divisor(QQ, [(t - 1, 1)])
+    assert d.affine == ((t - 1, 1),)
 
 
 def test_divisor_counts_geometric_points():
@@ -600,8 +608,11 @@ def test_tameness_frozen():
     assert "infinity" in str(tame.witness)
     with pytest.raises(WildRamification):
         ramification_divisor(RationalMap(t3**3 + t3))
-    # inseparable maps are reported untame rather than raising
-    assert not is_tame(RationalMap(fp(5, 0, 0, 0, 0, 0, 1)))
+    # inseparable maps are reported untame rather than raising; the verdict is a (tame, witness) record
+    verdict = is_tame(RationalMap(fp(5, 0, 0, 0, 0, 0, 1)))
+    assert not verdict and verdict == (False, "inseparable")
+    assert Tameness._fields == ("tame", "witness")
+    assert bool(Tameness(True)) and Tameness(True) == (True, None)
     # char 0 is always tame
     assert bool(is_tame(RationalMap(qp(0, 1) ** 7)))
 
