@@ -25,6 +25,7 @@ from .invariance import (
 )
 from .serialize import (
     _MAX_CHECK_DEGREE,
+    _MAX_CHECK_FORM_DEGREE,
     _MAX_DEGREE,
     decomposition_to_json,
     divisor_to_json,
@@ -77,6 +78,11 @@ def cmd_check(args):
     if work > _MAX_CHECK_DEGREE:
         raise InputFormatError(
             f"check: max(d1, d2) * (n + 2|weight|) = {work} must be at most {_MAX_CHECK_DEGREE},"
+            " where n is the larger degree of omega's num and den"
+        )
+    if n > _MAX_CHECK_FORM_DEGREE:
+        raise InputFormatError(
+            f"check: n = {n} must be at most {_MAX_CHECK_FORM_DEGREE},"
             " where n is the larger degree of omega's num and den"
         )
     ratio = semi_invariance_ratio(doc.corr, omega)

@@ -12,6 +12,7 @@ one triangular linear system then forces the coefficients of h.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,7 +32,7 @@ from .geometry import (
     conductor,
     divisor_of_form,
 )
-from .poly import Polynomial, _inverse, compose_with_quotient
+from .poly import Polynomial, _integer_parts, _inverse, _mul_raw, compose_with_quotient
 from .ratfunc import RationalFunction, _wronskian
 
 
@@ -97,19 +98,33 @@ def _pulled_back(sigma, omega):
     return compose_with_quotient(f, a, b, n) * top**nu, compose_with_quotient(g, a, b, n) * bottom**nu
 
 
+def _normalized(v, p):
+    """v over its content with a positive leading entry when p = 0; v made monic mod p otherwise."""
+    if p:
+        inv = pow(v[-1], -1, p)
+        return [c * inv % p for c in v]
+    g = math.gcd(*v) if v[-1] > 0 else -math.gcd(*v)
+    return [c // g for c in v]
+
+
 def semi_invariance_ratio(corr, omega):
     """lambda with sigma1^* omega = lambda sigma2^* omega, or None.
 
-    That is P1 Q2 = lambda P2 Q1 for (P_i, Q_i) from `_pulled_back`; lambda is
-    the ratio of leading coefficients, and no gcd or quotient is taken.
+    That is P1 Q2 = lambda P2 Q1 for (P_i, Q_i) from `_pulled_back`, with lambda
+    the ratio of leading coefficients.  By Gauss's lemma it holds exactly when
+    prim(P1) prim(Q2) = prim(P2) prim(Q1) for the primitive integer vectors with
+    positive leading entries; over F_p the monic vectors take their place.
     """
     p1, q1 = _pulled_back(corr.sigma1, omega)
     p2, q2 = _pulled_back(corr.sigma2, omega)
     if p1.degree + q2.degree != p2.degree + q1.degree:
         return None
     field = corr.field
-    lam = field.raw(p1.coeffs[-1] * q2.coeffs[-1] * _inverse(p2.coeffs[-1] * q1.coeffs[-1], field.characteristic))
-    return field.wrap(lam) if p1 * q2 == (p2 * q1)._scaled(lam) else None
+    p = field.characteristic
+    a, b, c, d = (_normalized(_integer_parts(h.coeffs)[0], p) for h in (p1, q2, p2, q1))
+    if _mul_raw(a, b, p) != _mul_raw(c, d, p):
+        return None
+    return field.wrap(field.raw(p1.coeffs[-1] * q2.coeffs[-1] * _inverse(p2.coeffs[-1] * q1.coeffs[-1], p)))
 
 
 class Weight1Solution(NamedTuple):

@@ -7,11 +7,12 @@ polynomials, and Yun's algorithm supplies the squarefree decomposition.
 
 Storage contract: ``coeffs`` holds the field's raw values (see field.py),
 Fractions over Q and plain int residues in [0, p) over F_p.  Both fields
-multiply by Kronecker substitution on integers: F_p on the residues, then
-``% p``; Q on the numerators over one common denominator, then back to
-Fractions.  Division is one schoolbook kernel for both fields; it, ``monic``
-and the callers in ratfunc.py and invariance.py invert raw scalars through
-``_inverse``.  The public scalar FpElement appears only where a value leaves
+multiply by Kronecker substitution on integers (``_mul_raw``): F_p on the
+residues, then ``% p``; Q on the numerators over one common denominator,
+then back to Fractions.  Composition runs Horner's rule on those integer
+lists and converts once, at the end.  Division is one schoolbook kernel for
+both fields; it, ``monic`` and the callers in ratfunc.py and invariance.py
+invert raw scalars through ``_inverse``.  The public scalar FpElement appears only where a value leaves
 a polynomial: ``leading``, ``coefficient`` and evaluation.
 """
 
@@ -21,6 +22,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import FieldMismatch, WildInput
@@ -84,18 +86,28 @@ def _kronecker_mul(a, b, bound, signed=False):
 
 
 def _integer_parts(cs):
-    """Integers ns and d > 0 with cs[i] == ns[i] / d: d is the lcm of the denominators."""
+    """Integers ns and d > 0 with cs[i] == ns[i] / d: d is the lcm of the denominators (1 for residues)."""
     d = math.lcm(*[c.denominator for c in cs])
     return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _mul_raw(a, b, p):
+    """a * b for integer coefficient lists: residues in [0, p), reduced mod p, when p > 0; signed when p = 0."""
+    if not a or not b:
+        return []
+    if p:
+        return [c % p for c in _kronecker_mul(a, b, min(len(a), len(b)) * (p - 1) ** 2)]
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    # a zero bound means a zero operand; slots sized by it could not hold the other one
+    return _kronecker_mul(a, b, bound, signed=True) if bound else [0] * (len(a) + len(b) - 1)
 
 
 def _mul_qq(a, b):
     """Product of Fraction sequences, as one Kronecker product of their numerators."""
     na, da = _integer_parts(a)
     nb, db = (na, da) if b is a else _integer_parts(b)
-    bound = min(len(na), len(nb)) * max(map(abs, na)) * max(map(abs, nb))
     d = da * db
-    return [Fraction(c, d) for c in _kronecker_mul(na, nb, bound, signed=True)]
+    return [Fraction(c, d) for c in _mul_raw(na, nb, 0)]
 
 
 def _inverse(r, p):
@@ -250,10 +262,7 @@ class Polynomial:
         if b == (1,):
             return self
         p = self.field.characteristic
-        if p:
-            bound = min(len(a), len(b)) * (p - 1) ** 2
-            return Polynomial._make(self.field, [c % p for c in _kronecker_mul(a, b, bound)])
-        return Polynomial._make(self.field, _mul_qq(a, b))
+        return Polynomial._make(self.field, _mul_raw(a, b, p) if p else _mul_qq(a, b))
 
     __rmul__ = __mul__
 
@@ -352,20 +361,33 @@ class Polynomial:
 
 
 def compose_with_quotient(poly, num, den, order):
-    """den**order * poly(num/den) by Horner's rule, a polynomial; needs order >= deg(poly)."""
+    """den**order * poly(num/den) by Horner's rule, a polynomial; needs order >= deg(poly).
+
+    Over Q, for P/d_P, N/d_N and D/d_D with integer P, N and D, the loop runs
+    on the integers with inner map (N d_D)/(D d_N), and each output
+    coefficient is one Fraction over d_P (d_N d_D)**order.  Over F_p it runs
+    on the residues.
+    """
     if poly.is_zero:
         return Polynomial.zero(poly.field)
     n = len(poly.coeffs) - 1
     if order < n:
         raise ValueError("order must be at least deg(poly)")
-    acc = Polynomial.constant(poly.field, poly.coeffs[-1])
-    dpow = Polynomial.one(poly.field)
-    for i in range(n - 1, -1, -1):
-        dpow = dpow * den
-        acc = acc * num + poly.coeffs[i] * dpow
+    p = poly.field.characteristic
+    (cs, dp), (ns, dn), (ds, dd) = (_integer_parts(f.coeffs) for f in (poly, num, den))
+    ns, ds = [c * dd for c in ns], [c * dn for c in ds]
+    acc, dpow = [cs[-1]], [1]
+    for c in reversed(cs[:-1]):
+        dpow = _mul_raw(dpow, ds, p)
+        acc = [x + c * y for x, y in zip_longest(_mul_raw(acc, ns, p), dpow, fillvalue=0)]
+        if p:
+            acc = [x % p for x in acc]
     for _ in range(order - n):
-        acc = acc * den
-    return acc
+        acc = _mul_raw(acc, ds, p)
+    if not p:
+        d = dp * (dn * dd) ** order
+        acc = [Fraction(c, d) for c in acc]
+    return Polynomial._make(poly.field, acc)
 
 
 def gcd_monic(a, b):

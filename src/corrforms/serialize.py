@@ -22,6 +22,7 @@ from .ratfunc import RationalFunction
 _MAX_FORM_WEIGHT = 64  # the largest |weight| a document's form may carry
 _MAX_DEGREE = 1024  # the largest degree of a parsed polynomial, and of the sigma1 that gen writes
 _MAX_CHECK_DEGREE = 8192  # the largest max(d1, d2) * (n + 2|nu|), which bounds deg P, deg Q in check
+_MAX_CHECK_FORM_DEGREE = 128  # the largest n = max(deg num, deg den) of the form that check decomposes
 
 
 def scalar_str(x):

@@ -62,6 +62,24 @@ def random_separable_poly(rng, field, degree, span=6):
         return f
 
 
+def horner_by_polynomials(poly, num, den, order):
+    """den**order * poly(num/den) by Horner's rule on Polynomial objects: the
+    composition loop as written before it ran on integer vectors."""
+    if poly.is_zero:
+        return Polynomial.zero(poly.field)
+    n = len(poly.coeffs) - 1
+    if order < n:
+        raise ValueError("order must be at least deg(poly)")
+    acc = Polynomial.constant(poly.field, poly.coeffs[-1])
+    dpow = Polynomial.one(poly.field)
+    for i in range(n - 1, -1, -1):
+        dpow = dpow * den
+        acc = acc * num + poly.coeffs[i] * dpow
+    for _ in range(order - n):
+        acc = acc * den
+    return acc
+
+
 def frac(num, den=1):
     return Fraction(num, den)
 

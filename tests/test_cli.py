@@ -544,6 +544,38 @@ def test_check_accepts_the_pullback_degree_bound_itself(tmp_path, capsys, monkey
     assert json.loads(out)["semi_invariant"] is False
 
 
+def _form_of_degree(n, side):
+    """(dt) t^n or (dt) / t^n: the form's num or den has degree n."""
+    return {"num": _power(n), "den": ["1"], "weight": 1} if side == "num" else {"num": ["1"], "den": _power(n), "weight": 1}
+
+
+def _check_argv(tmp_path, omega, embedded):
+    maps = {"sigma1": _power(3), "sigma2": _power(1)}  # D = 3 * (n + 2) stays far below 8192
+    if embedded:
+        return ["check", write_doc(tmp_path, "doc.json", {**maps, "omega": omega})]
+    return ["check", write_doc(tmp_path, "maps.json", maps), "--omega", write_doc(tmp_path, "omega.json", omega)]
+
+
+@pytest.mark.parametrize("side", ["num", "den"])
+@pytest.mark.parametrize("embedded", [True, False], ids=["embedded", "omega_file"])
+def test_check_caps_the_form_degree_before_computing(tmp_path, capsys, monkeypatch, side, embedded):
+    def unreachable(*args):
+        raise AssertionError("a form above the degree cap reached the library")
+
+    monkeypatch.setattr("corrforms.cli.semi_invariance_ratio", unreachable)
+    monkeypatch.setattr("corrforms.cli.divisor_of_form", unreachable)
+    message = "error: check: n = 129 must be at most 128, where n is the larger degree of omega's num and den\n"
+    assert run_cli(capsys, *_check_argv(tmp_path, _form_of_degree(129, side), embedded)) == (2, "", message)
+
+
+@pytest.mark.parametrize("side", ["num", "den"])
+@pytest.mark.parametrize("embedded", [True, False], ids=["embedded", "omega_file"])
+def test_check_accepts_the_form_degree_cap_itself(tmp_path, capsys, side, embedded):
+    code, out, err = run_cli(capsys, *_check_argv(tmp_path, _form_of_degree(128, side), embedded))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["semi_invariant"] is False
+
+
 def test_form_with_an_unknown_key_is_refused(tmp_path, capsys):
     omega = {**CUBIC_PAIR["omega"], "typo": 3}
     refusal = (2, "", 'error: omega: expected {"num": [...], "den": [...], "weight": nu}\n')

@@ -4,6 +4,8 @@ Over GF(p) a Polynomial stores plain int residues and multiplies by Kronecker
 substitution.  Seeded operands of degree 0..80, unbalanced pairs, squares and
 all-(p-1) operands (the largest value every Kronecker slot must hold) are
 compared with sympy.polys.galoistools at primes from 2 to 2**31 - 1.
+Composition runs Horner's rule on residue lists and is compared with the
+loop on Polynomial objects that it replaced.
 """
 
 import random
@@ -15,9 +17,11 @@ from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul, gf_sqf_list
 
 from corrforms.errors import FieldMismatch, WildInput
 from corrforms.field import GF, QQ, FpElement
-from corrforms.poly import Polynomial, gcd_monic, squarefree_decompose
+from corrforms.poly import Polynomial, compose_with_quotient, gcd_monic, squarefree_decompose
 from corrforms.ratfunc import RationalFunction
 from corrforms.serialize import poly_to_json
+
+from conftest import horner_by_polynomials
 
 PRIMES = (2, 3, 5, 1009, 2147483647)
 
@@ -94,6 +98,22 @@ def test_squarefree_decompose_matches_galoistools(p):
         else:
             with pytest.raises(WildInput):
                 squarefree_decompose(f)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_compose_with_quotient_matches_polynomial_horner(p):
+    rng = random.Random(f"compose:{p}")
+    zero, one = Polynomial.zero(GF(p)), Polynomial.one(GF(p))
+    for _ in range(12):
+        poly, num, den = (random_fp(rng, p, rng.randint(0, k)) for k in (6, 4, 4))
+        r = rng.randrange(p)
+        vanishing = poly * Polynomial(GF(p), [-r, 1])  # num/den = r is a root: the result is 0
+        cases = ((poly, num, den), (zero, num, den), (poly, zero, den), (poly, num, one), (all_top(p, 5), num, den))
+        for f, n, d in cases + ((vanishing, den * r, den),):
+            for order in (max(f.degree, 0), max(f.degree, 0) + 2):
+                got = compose_with_quotient(f, n, d, order)
+                assert got == horner_by_polynomials(f, n, d, order)
+                assert all(type(c) is int and 0 <= c < p for c in got.coeffs)
 
 
 def test_fp_storage_contract():

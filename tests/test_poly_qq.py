@@ -8,6 +8,13 @@ and scalars are compared with sympy.polys.densearith.dup_mul over QQ; the
 extreme operands put +-bound, the largest value a slot must hold, into every
 product coefficient.
 
+Composition (compose_with_quotient) clears its three inputs to integers
+and runs Horner's rule on integer vectors; it is compared with the loop on
+Polynomial objects that it replaced (conftest.horner_by_polynomials) on
+seeded inputs: the zero polynomial, a zero numerator, the denominator 1,
+orders above the degree, negative leading coefficients, denominators up to
+2**100, and a quotient num/den at a root of the outer polynomial.
+
 Division and the monic gcd are compared with dup_div and dup_gcd over QQ on
 seeded operands of degree 0..40 and the same heights: two-term quotients
 (the Euclid step), constant, monic and non-monic divisors, divisors longer
@@ -23,7 +30,9 @@ from sympy.polys.domains import QQ as SQQ
 from sympy.polys.euclidtools import dup_gcd
 
 from corrforms.field import QQ
-from corrforms.poly import Polynomial, gcd_monic
+from corrforms.poly import Polynomial, compose_with_quotient, gcd_monic
+
+from conftest import horner_by_polynomials
 
 HEIGHTS = (1, 2**7, 2**31, 2**64, 2**100)
 
@@ -139,3 +148,29 @@ def test_gcd_monic_matches_dup_gcd(height):
             unit += g.degree == 0
             common += g.degree >= f.degree
     assert unit >= 3 and common >= 6
+
+
+def composition_cases(height):
+    rng = random.Random(f"compose:{height}")
+    zero, one = Polynomial.zero(QQ), Polynomial.one(QQ)
+    for _ in range(12):
+        poly = random_qq(rng, rng.randint(0, 6), height)
+        num = random_qq(rng, rng.randint(0, 4), rng.choice(HEIGHTS))
+        den = random_qq(rng, rng.randint(0, 4), rng.choice(HEIGHTS))
+        r = random_coeff(rng, height)
+        vanishing = poly * Polynomial(QQ, [-r, 1])  # num/den = r is a root: the result is 0
+        cases = ((poly, num, den), (zero, num, den), (poly, zero, den), (poly, num, one), (-poly, -num, -den))
+        for p, n, d in cases + ((vanishing, den * r, den),):
+            for extra in (0, 1, 3):
+                yield p, n, d, max(p.degree, 0) + extra
+
+
+@pytest.mark.parametrize("height", HEIGHTS, ids=lambda h: f"2**{h.bit_length() - 1}")
+def test_compose_with_quotient_matches_polynomial_horner(height):
+    for poly, num, den, order in composition_cases(height):
+        got = compose_with_quotient(poly, num, den, order)
+        assert got == horner_by_polynomials(poly, num, den, order)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        if poly.degree >= 1:
+            with pytest.raises(ValueError, match="order must be at least deg"):
+                compose_with_quotient(poly, num, den, poly.degree - 1)

@@ -6,7 +6,12 @@ exactly what that constructor returns on the unreduced numerator and
 denominator, down to the stored coefficient tuples.  semi_invariance_ratio
 tests the cross-multiplied identity P1 Q2 = lambda P2 Q1 and takes no gcd;
 it must agree with the definition "sigma1^* omega / sigma2^* omega is a
-constant", in value and in type.
+constant", in value and in type.  Over Q it compares the primitive integer
+vectors of the four pullback polynomials (Gauss's lemma), over F_p their
+monic forms; seeded affine pairs sigma2 = c sigma1 + e give known ratios,
+among them negative ones and ones whose numerator and denominator exceed
+2**64, and a near miss whose two products differ in one coefficient must
+give None.
 """
 
 import random
@@ -261,3 +266,67 @@ def test_constructor_takes_no_gcd_with_a_constant_side(field, monkeypatch):
     t = Polynomial.variable(field)
     assert_same(RationalFunction(t**2 - 1, 2 * t - 2), RationalFunction(t * Fraction(1, 2) + Fraction(1, 2)))
     assert len(calls) == 1
+
+
+def affine_pair_cases(field, seed):
+    """(corr, omega, lambda) for sigma2 = c sigma1 + e and omega = (dt)^nu / (t - x)^k at the
+    fixed point x = e / (1 - c) of u -> c u + e: then sigma1^* omega = c^(k - nu) sigma2^* omega."""
+    rng = random.Random(seed)
+    t = Polynomial.variable(field)
+    for _ in range(16):
+        if field is QQ:
+            height = rng.choice((9, 2**70))
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(2, height), rng.randint(2, height))
+            if c == 1:
+                continue
+            e = Fraction(rng.randint(-height, height), rng.randint(1, height))
+        else:
+            c, e = field.scalar(rng.randint(2, field.characteristic - 1)), field.scalar(rng.randint(0, 6))
+        sigma1 = RationalFunction(random_poly(rng, field, rng.randint(1, 5)))
+        if rng.random() < 0.5:
+            sigma1 = sigma1 / RationalFunction(random_poly(rng, field, rng.randint(1, 3)))
+        if sigma1.is_constant or sigma1.derivative().is_zero:
+            continue
+        k, nu = rng.randint(0, 3), rng.choice((-2, -1, 1, 2, 3))
+        omega = DifferentialForm(RationalFunction(t**0, (t - e / (1 - c)) ** k), nu)
+        yield Correspondence(sigma1, sigma1 * c + e), omega, c ** (k - nu)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_semi_invariance_ratio_gauss_lemma_on_affine_pairs(field):
+    cases = list(affine_pair_cases(field, f"gauss {field!r}"))
+    assert len(cases) >= 10
+    for corr, omega, expected in cases:
+        got = semi_invariance_ratio(corr, omega)
+        want = ratio_by_quotient(corr, omega)
+        assert type(got) is type(want)
+        assert got == want == expected
+    if field is QQ:
+        ratios = [lam for _, _, lam in cases]
+        assert any(lam < 0 for lam in ratios)
+        assert any(lam.numerator > 2**64 and lam.denominator > 2**64 for lam in ratios)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_semi_invariance_ratio_near_miss_differs_in_one_coefficient(field):
+    # omega = dt and polynomial maps: P_i = sigma_i' and Q_i = 1, so adding delta t^j to
+    # sigma2 = c sigma1 + e moves exactly one coefficient of lambda P2 Q1 away from P1 Q2
+    rng = random.Random(f"near miss {field!r}")
+    t = Polynomial.variable(field)
+    dt = DifferentialForm(RationalFunction.constant(field, 1), 1)
+    checked = 0
+    for _ in range(20):
+        sigma1 = random_poly(rng, field, rng.randint(2, 6))
+        if sigma1.derivative().degree != sigma1.degree - 1:
+            continue
+        c, e, delta = (field.scalar(rng.randint(a, 6)) for a in (1, 0, 1))
+        j = rng.randint(1, sigma1.degree - 1)
+        sigma2 = sigma1 * c + e
+        assert semi_invariance_ratio(Correspondence(sigma1, sigma2), dt) == 1 / c
+        near = Correspondence(sigma1, sigma2 + delta * t**j)
+        difference = sigma1.derivative() - (sigma2 + delta * t**j).derivative() * (1 / c)
+        assert sum(1 for x in difference.coeffs if x) == 1
+        assert semi_invariance_ratio(near, dt) is None
+        assert ratio_by_quotient(near, dt) is None
+        checked += 1
+    assert checked >= 10
