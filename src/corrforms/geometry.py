@@ -170,30 +170,39 @@ class Divisor:
     __slots__ = ("field", "affine", "at_infinity")
 
     def __init__(self, field, components=(), at_infinity=0):
-        pieces = []
+        clusters = {}  # canonical form: one squarefree cluster per multiplicity
         for poly, mult in components:
             if poly.field != field:
                 raise FieldMismatch("divisor component over the wrong field")
             if mult == 0 or poly.degree < 1:
                 continue
-            _add_component(pieces, poly.monic(), mult)
-        # canonical form: one squarefree cluster per multiplicity
-        by_mult = {}
-        for g, m in pieces:
-            if m != 0:
-                by_mult[m] = by_mult[m] * g if m in by_mult else g
-        merged = sorted(by_mult.items())
+            poly, moved = poly.monic(), []
+            for m, g in list(clusters.items()):
+                if poly.degree < 1:
+                    break
+                common = gcd_monic(poly, g)
+                if common.degree > 0:
+                    # the points of common move from multiplicity m to m + mult
+                    poly, rest = poly // common, g // common
+                    if rest.degree > 0:
+                        clusters[m] = rest
+                    else:
+                        del clusters[m]
+                    moved.append((common, m + mult))
+            moved.append((poly, mult))
+            for g, m in moved:
+                if m != 0 and g.degree > 0:
+                    clusters[m] = clusters[m] * g if m in clusters else g
         self.field = field
-        self.affine = tuple((g, m) for m, g in merged)
+        self.affine = tuple((clusters[m], m) for m in sorted(clusters))
         self.at_infinity = at_infinity
 
     def degree(self):
-        return sum(m * g.degree for g, m in self.affine) + self.at_infinity
+        return self.affine_multiplicity_sum() + self.at_infinity
 
     def support_size(self):
         """Number of geometric points in the support."""
-        n = sum(g.degree for g, _ in self.affine)
-        return n + (1 if self.at_infinity else 0)
+        return self.affine_support_size() + (1 if self.at_infinity else 0)
 
     def affine_support_size(self):
         return sum(g.degree for g, _ in self.affine)
@@ -239,9 +248,7 @@ class Divisor:
         )
 
     def __neg__(self):
-        return Divisor(
-            self.field, [(g, -m) for g, m in self.affine], -self.at_infinity
-        )
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
@@ -265,27 +272,6 @@ class Divisor:
 
     def __repr__(self):
         return f"<Divisor {self}>"
-
-
-def _add_component(pieces, poly, mult):
-    """Fold (poly, mult) into a coprime squarefree piece list, splitting by gcd."""
-    i = 0
-    while i < len(pieces) and poly.degree > 0:
-        g, n = pieces[i]
-        common = gcd_monic(poly, g)
-        if common.degree > 0:
-            repl = []
-            rest = g // common
-            if rest.degree > 0:
-                repl.append((rest, n))
-            repl.append((common, n + mult))
-            pieces[i : i + 1] = repl
-            i += len(repl)
-            poly = poly // common
-        else:
-            i += 1
-    if poly.degree > 0:
-        pieces.append((poly, mult))
 
 
 def pullback(sigma, omega):

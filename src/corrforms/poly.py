@@ -12,8 +12,9 @@ residues, then ``% p``; Q on the numerators over one common denominator,
 then back to Fractions.  Composition runs Horner's rule on those integer
 lists and converts once, at the end.  Division is one schoolbook kernel for
 both fields; it, ``monic`` and the callers in ratfunc.py and invariance.py
-invert raw scalars through ``_inverse``.  The public scalar FpElement appears only where a value leaves
-a polynomial: ``leading``, ``coefficient`` and evaluation.
+invert raw scalars through ``_inverse``.  The public scalar FpElement
+appears only where a value leaves a polynomial: ``leading``,
+``coefficient`` and evaluation.
 """
 
 from __future__ import annotations
@@ -143,6 +144,13 @@ def _divmod_raw(a, b, p):
     return quot, rem[:dv]
 
 
+def _is_function(x):
+    """True for a RationalFunction, whose reflected operator gives the mixed result."""
+    from .ratfunc import RationalFunction  # ratfunc imports this module
+
+    return isinstance(x, RationalFunction)
+
+
 class Polynomial:
     """Univariate polynomial with exact coefficients, ascending order."""
 
@@ -230,6 +238,8 @@ class Polynomial:
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
+            if _is_function(other):
+                return NotImplemented
             other = Polynomial.constant(self.field, other)
         self._check(other)
         a, b = self.coeffs, other.coeffs
@@ -243,7 +253,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, Polynomial) and not _is_function(other):
             other = Polynomial.constant(self.field, other)
         return self + (-other)
 
@@ -252,12 +262,14 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
+            if _is_function(other):
+                return NotImplemented
             return self._scaled(self.field.raw(other))
         self._check(other)
         if self.is_zero or other.is_zero:
             return Polynomial.zero(self.field)
         a, b = self.coeffs, other.coeffs
-        if a == (1,):  # the power and composition loops start from one
+        if a == (1,):  # the power loop and running products start from one
             return other
         if b == (1,):
             return self
@@ -307,7 +319,6 @@ class Polynomial:
 
     def compose(self, inner):
         """self(inner) for a polynomial inner."""
-        self._check(inner)
         return compose_with_quotient(self, inner, Polynomial.one(self.field), self.degree)
 
     def derivative(self):
@@ -368,6 +379,7 @@ def compose_with_quotient(poly, num, den, order):
     coefficient is one Fraction over d_P (d_N d_D)**order.  Over F_p it runs
     on the residues.
     """
+    poly._check(num)  # every caller passes num and den over one field
     if poly.is_zero:
         return Polynomial.zero(poly.field)
     n = len(poly.coeffs) - 1

@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 from corrforms import geometry, invariance
+from corrforms.errors import FieldMismatch
 from corrforms.field import QQ, GF, FpElement
-from corrforms.poly import Polynomial
+from corrforms.poly import Polynomial, gcd_monic
 from corrforms.ratfunc import RationalFunction
 
 
@@ -78,6 +79,44 @@ def horner_by_polynomials(poly, num, den, order):
     for _ in range(order - n):
         acc = acc * den
     return acc
+
+
+def divisor_by_refinement(field, components, at_infinity=0):
+    """The Divisor of the components by the two-stage refinement: components
+    split into a coprime piece list by gcd, then pieces merged by
+    multiplicity; the canonical form as built before it took one pass."""
+    pieces = []
+    for poly, mult in components:
+        if poly.field != field:
+            raise FieldMismatch("divisor component over the wrong field")
+        if mult == 0 or poly.degree < 1:
+            continue
+        poly, i = poly.monic(), 0
+        while i < len(pieces) and poly.degree > 0:
+            g, n = pieces[i]
+            common = gcd_monic(poly, g)
+            if common.degree > 0:
+                repl = []
+                rest = g // common
+                if rest.degree > 0:
+                    repl.append((rest, n))
+                repl.append((common, n + mult))
+                pieces[i : i + 1] = repl
+                i += len(repl)
+                poly = poly // common
+            else:
+                i += 1
+        if poly.degree > 0:
+            pieces.append((poly, mult))
+    by_mult = {}
+    for g, m in pieces:
+        if m != 0:
+            by_mult[m] = by_mult[m] * g if m in by_mult else g
+    out = object.__new__(geometry.Divisor)
+    out.field = field
+    out.affine = tuple((g, m) for m, g in sorted(by_mult.items()))
+    out.at_infinity = at_infinity
+    return out
 
 
 def frac(num, den=1):

@@ -1,7 +1,10 @@
 """Every argument check in the library raises its own type with its own message.
 
 One row per `raise` that no other test reaches: the call, the exception
-type and the exact message.  Not listed, because it cannot be reached:
+type and the exact message.  Two rows pin a shared check instead: a
+composition across fields, by `RationalFunction.compose` or by
+`mobius_conjugate`, reaches the one field check in `compose_with_quotient`.
+Not listed, because it cannot be reached:
 `_tame_places`' affine `WildRamification` (geometry.py).  A wild affine
 place of index e has Wronskian order >= e >= p, and `squarefree_decompose`
 refuses every multiplicity >= p with `WildInput` before that loop runs.
@@ -11,7 +14,7 @@ import pytest
 
 from corrforms.errors import FieldMismatch, InseparableMap, NormalizationRequired
 from corrforms.field import GF, QQ, FpElement
-from corrforms.geometry import DifferentialForm, Divisor, RationalMap
+from corrforms.geometry import DifferentialForm, Divisor, MobiusTransform, RationalMap, mobius_conjugate
 from corrforms.invariance import Correspondence, affine_conductor_guard, flat_form_weight1
 from corrforms.poly import Polynomial, compose_with_quotient, squarefree_decompose
 from corrforms.ratfunc import RationalFunction
@@ -67,6 +70,16 @@ CASES = {
         lambda: T.hasse_derivative(-1), ValueError, "Hasse derivative order must be nonnegative"
     ),
     "monic_of_zero": (lambda: ZERO.monic(), ValueError, "the zero polynomial cannot be made monic"),
+    "compose_across_fields": (
+        lambda: RationalFunction(fp(7, 0, 0, 1), fp(7, 1, 1)).compose(INV_T),
+        FieldMismatch,
+        "cannot mix GF(7) and QQ",
+    ),
+    "mobius_conjugate_across_fields": (
+        lambda: mobius_conjugate(RationalMap(T**3 + T), MobiusTransform(GF(7), 1, 2, 0, 1)),
+        FieldMismatch,
+        "cannot mix GF(7) and QQ",
+    ),
     "compose_order_below_degree": (
         lambda: compose_with_quotient(T**2, T, qp(1), 1), ValueError, "order must be at least deg(poly)"
     ),

@@ -7,8 +7,9 @@ Riemann-Hurwitz count deg R = 2d - 2 for tame maps, the index rule
 e = k + 1 against a Taylor refinement written here (for p = 0, for
 p > deg sigma, and for p = 2, 3, 5, 7 <= deg sigma, where a map is either
 refused or has that index everywhere), deg R = deg W + e_inf - 1 against
-the ramification divisor, and the local order identity at every point of
-the relevant supports.
+the ramification divisor, the local order identity at every point of
+the relevant supports, and Divisor's one-pass canonical form against the
+two-stage refinement it replaced (conftest.divisor_by_refinement).
 """
 
 import random
@@ -40,7 +41,7 @@ from corrforms.geometry import (
 from corrforms.poly import Polynomial, gcd_monic, squarefree_decompose
 from corrforms.ratfunc import RationalFunction, _wronskian
 
-from conftest import fp, qp, random_poly, random_separable_poly, rf
+from conftest import divisor_by_refinement, fp, qp, random_poly, random_separable_poly, rf
 
 
 def w1(num, den):
@@ -285,6 +286,69 @@ def test_divisor_counts_geometric_points():
     d = Divisor(QQ, [(t**2 + 1, 1)], 0)
     assert d.support_size() == 2
     assert d.degree() == 2
+
+
+def _coprime_atoms(rng, field):
+    """Distinct monic irreducible polynomials of degree 1 to 3, so pairwise coprime."""
+    t = Polynomial.variable(field)
+    p = field.characteristic
+    if not p:
+        return [t, t - 1, t + 2, t**2 + 1, t**2 - 2, t**3 - 2]
+    atoms = [t - a for a in range(min(p, 3))]
+    for degree in (2, 3, 3):
+        # a rootless polynomial of degree 2 or 3 is irreducible
+        while True:
+            f = Polynomial(field, [rng.randrange(p) for _ in range(degree)] + [1])
+            if f not in atoms and all(f(x) for x in range(p)):
+                atoms.append(f)
+                break
+    return atoms
+
+
+def _squarefree_components(rng, field, atoms):
+    """Up to 5 (component, multiplicity) pairs: a nonzero scalar (never 1 over Q
+    alone) times a product of distinct atoms, constants and multiplicity 0 included."""
+    p = field.characteristic
+    out = []
+    for _ in range(rng.randint(0, 5)):
+        c = rng.randrange(1, p) if p else Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 5]))
+        poly = Polynomial.constant(field, c)
+        for a in atoms:
+            if rng.random() < 0.3:
+                poly = poly * a
+        out.append((poly, rng.randint(-3, 5)))
+    return out
+
+
+def _refined_sum(a, b):
+    """a + b as the two-stage refinement built it: from the concatenated canonical forms."""
+    return divisor_by_refinement(a.field, list(a.affine) + list(b.affine), a.at_infinity + b.at_infinity)
+
+
+def _refined_multiple(a, n):
+    return divisor_by_refinement(a.field, [(g, n * m) for g, m in a.affine], n * a.at_infinity)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7), GF(101)], ids=repr)
+def test_divisor_matches_two_stage_refinement(field):
+    # 400 pairs of seeded lists of squarefree components per field, 4000 lists in all
+    rng = random.Random(f"one-pass divisor {field!r}")
+    atoms = _coprime_atoms(rng, field)
+    for _ in range(400):
+        cd, ce = (_squarefree_components(rng, field, atoms) for _ in range(2))
+        at_d, at_e = rng.randint(-2, 2), rng.randint(-2, 2)
+        d, e = Divisor(field, cd, at_d), Divisor(field, ce, at_e)
+        od, oe = divisor_by_refinement(field, cd, at_d), divisor_by_refinement(field, ce, at_e)
+        assert d == od and e == oe
+        assert d + e == _refined_sum(od, oe)
+        assert d - e == _refined_sum(od, _refined_multiple(oe, -1))
+        assert -d == _refined_multiple(od, -1)
+        for n in (-2, 0, 1, 3):
+            assert n * d == d * n == _refined_multiple(od, n)
+        assert d.degree() == sum(m * g.degree for g, m in od.affine) + at_d
+        assert d.support_size() == sum(g.degree for g, _ in od.affine) + (at_d != 0)
+        assert (d + e) - e == d
+        assert (d - d).is_zero
 
 
 # ------------------------------------------------------------------- ramification

@@ -14,12 +14,14 @@ among them negative ones and ones whose numerator and denominator exceed
 give None.
 """
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from corrforms import ratfunc
+from corrforms.errors import FieldMismatch
 from corrforms.field import GF, QQ
 from corrforms.geometry import DifferentialForm, MobiusTransform, RationalMap, mobius_conjugate, pullback
 from corrforms.invariance import Correspondence, flat_form_weight1, flat_form_weight2, semi_invariance_ratio
@@ -330,3 +332,20 @@ def test_semi_invariance_ratio_near_miss_differs_in_one_coefficient(field):
         assert ratio_by_quotient(near, dt) is None
         checked += 1
     assert checked >= 10
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_polynomial_operators_defer_to_a_rational_function(field):
+    # a Polynomial on the left of +, - or * hands a RationalFunction operand to its reflected operator
+    rng = random.Random(f"mixed operands {field!r}")
+    for _ in range(30):
+        t, r = random_poly(rng, field, rng.randint(-1, 4)), random_fraction(rng, field)
+        assert isinstance(t + r, RationalFunction)
+        assert_same(t + r, r + t)
+        assert_same(t * r, r * t)
+        assert_same(t - r, -(r - t))
+    t = Polynomial.variable(field)
+    for operand in (1.5, GF(5).scalar(2)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(FieldMismatch):
+                op(t, operand)
