@@ -12,9 +12,9 @@ residues, then ``% p``; Q on the numerators over one common denominator,
 then back to Fractions.  Composition runs Horner's rule on those integer
 lists and converts once, at the end.  Division is one schoolbook kernel for
 both fields; it, ``monic`` and the callers in ratfunc.py and invariance.py
-invert raw scalars through ``_inverse``.  The public scalar FpElement
-appears only where a value leaves a polynomial: ``leading``,
-``coefficient`` and evaluation.
+invert raw scalars through ``_inverse``.  The public scalar FpElement appears
+only where a value leaves a polynomial: ``leading``, ``coefficient`` and
+evaluation.  ``gcd_monic`` over Q first tries to prove coprimality mod 2**31 - 1.
 """
 
 from __future__ import annotations
@@ -402,11 +402,41 @@ def compose_with_quotient(poly, num, den, order):
     return Polynomial._make(poly.field, acc)
 
 
+_SCREEN_PRIME = 2**31 - 1  # the largest prime below GF's cap
+
+
+def _coprime_mod_prime(a, b):
+    """True when nonconstant Fraction vectors a, b, cleared, keep their leads and have gcd 1 mod q."""
+    q = _SCREEN_PRIME
+    x, y = sorted(([c % q for c in _integer_parts(cs)[0]] for cs in (a, b)), key=len, reverse=True)
+    if not x[-1] or not y[-1]:
+        return False
+    while len(y) > 1:  # Euclid mod q on lists in place: a tuple per step costs peak RSS
+        dv, inv = len(y) - 1, pow(y[-1], -1, q)
+        for k in range(len(x) - len(y), -1, -1):
+            c = x[k + dv] * inv % q
+            if c:
+                x[k : k + dv] = [(r - c * yj) % q for r, yj in zip(x[k : k + dv], y)]
+        del x[dv:]
+        while x and not x[-1]:
+            x.pop()
+        x, y = y, x
+    return bool(y)  # a nonzero constant; empty when the last y divides both
+
+
 def gcd_monic(a, b):
-    """Monic gcd by the Euclidean algorithm (remainders re-normalized)."""
+    """Monic gcd by the Euclidean algorithm (remainders re-normalized).
+
+    Over Q, nonconstant a and b, cleared to integers, are first reduced mod q =
+    _SCREEN_PRIME.  If q divides neither lead, their primitive integer gcd keeps its
+    degree mod q, so a constant gcd mod q proves gcd(a, b) = 1 (Brown, J. ACM 18, 1971).
+    Otherwise the Euclid runs on a and b, and the answer never depends on q.
+    """
     a._check(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
+    if not a.field.characteristic and min(a.degree, b.degree) > 0 and _coprime_mod_prime(a.coeffs, b.coeffs):
+        return Polynomial.one(a.field)
     while not b.is_zero:
         a, b = b, (a % b)
         if not b.is_zero:

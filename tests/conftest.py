@@ -81,6 +81,19 @@ def horner_by_polynomials(poly, num, den, order):
     return acc
 
 
+def gcd_by_euclid(a, b):
+    """Monic gcd by the Euclidean algorithm alone: gcd_monic as written before
+    its coprimality screen mod a word-size prime."""
+    a._check(b)
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    while not b.is_zero:
+        a, b = b, (a % b)
+        if not b.is_zero:
+            b = b.monic()
+    return a.monic()
+
+
 def divisor_by_refinement(field, components, at_infinity=0):
     """The Divisor of the components by the two-stage refinement: components
     split into a coprime piece list by gcd, then pieces merged by
