@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import (
@@ -168,23 +169,46 @@ def _solve_flat(corr, nu):
     sigma1'^nu h(sigma2) = lambda sigma2'^nu h(sigma1) is linear in h:
     sum_{i<nu} c_i U_i = -U_nu for U_i = sigma1'^nu sigma2^i - lambda sigma2'^nu sigma1^i.
     As p divides neither degree, deg U_i = nu (d1 - 1) + i d2 for i < nu: the
-    pivots are distinct, so the system is triangular.  The c_i are read off
-    from the top down, and only a zero residue is a solution.
+    pivots are distinct, so the system is triangular.  It is solved
+    fraction-free (Bareiss, Math. Comp. 22, 1968): for sigma_i = n_i / e_i, U_i
+    times (d2 e1 e2)^nu (e1 e2)^i is V_i = (d2 e2 n1')^nu (e1 n2)^i - (d1 e1 n2')^nu (e2 n1)^i,
+    and from R = V_nu, s = 1 and the top pivot pv = V_i[k] down,
+    c_i (e1 e2)^(nu - i) = -R[k] / (s pv), R <- pv R - R[k] V_i, s <- s pv.
+    Only a zero final R is a solution.  Over F_p the same lines run on
+    residues, with e_i = 1 (README, "One fraction-free solver").
     """
     s1, s2 = _solver_inputs(corr)
-    field = corr.field
-    lam = field.raw(Fraction(corr.d1, corr.d2) ** nu)
-    left, right = s1.derivative() ** nu, lam * s2.derivative() ** nu
-    cols = [left - right]
+    field, d1, d2 = corr.field, corr.d1, corr.d2
+    p = field.characteristic
+    (n1, e1), (n2, e2) = _integer_parts(s1.coeffs), _integer_parts(s2.coeffs)
+
+    def reduced(v):
+        return [c % p for c in v] if p else v
+
+    a = reduced([d2 * e2 * i * c for i, c in enumerate(n1)][1:])
+    b = reduced([d1 * e1 * i * c for i, c in enumerate(n2)][1:])
+    m1, m2 = reduced([e2 * c for c in n1]), reduced([e1 * c for c in n2])
+    left = right = [1]
     for _ in range(nu):
-        left, right = left * s2, right * s1
-        cols.append(left - right)
-    residue, coeffs = cols.pop(), []
-    for col in reversed(cols):
-        r = residue.coeffs[col.degree] if col.degree < len(residue.coeffs) else 0
-        coeffs.insert(0, field.raw(-r * _inverse(col.coeffs[-1], field.characteristic)))
-        residue = residue + col._scaled(coeffs[0])
-    return ([field.wrap(c) for c in coeffs], field.wrap(lam)) if residue.is_zero else None
+        left, right = _mul_raw(left, a, p), _mul_raw(right, b, p)
+    cols = []
+    for i in range(nu + 1):
+        if i:
+            left, right = _mul_raw(left, m2, p), _mul_raw(right, m1, p)
+        cols.append(reduced([x - y for x, y in zip_longest(left, right, fillvalue=0)]))
+    res, s, ys = cols.pop(), 1, []  # V_nu is longest: its top entries cancel but stay
+    for i in range(nu - 1, -1, -1):
+        col = cols[i]
+        k, pv = len(col) - 1, col[-1]  # the lead of the left term, nonzero
+        r = res[k]
+        ys.append((r, s * pv * (e1 * e2) ** (nu - i)))
+        if r:
+            res = reduced([pv * x - r * y for x, y in zip_longest(res, col, fillvalue=0)])
+            s *= pv
+    if any(res):
+        return None
+    coeffs = [field.wrap(-r * pow(den, -1, p) % p if p else Fraction(-r, den)) for r, den in reversed(ys)]
+    return coeffs, field.wrap(field.raw(Fraction(d1, d2) ** nu))
 
 
 def solve_weight1_flat(corr):

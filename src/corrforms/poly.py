@@ -483,17 +483,18 @@ def squarefree_decompose(a):
     if fp.is_zero:
         # only possible in characteristic p, for p-th powers
         raise WildInput(f"derivative of {f} vanishes in characteristic {p}")
+    # a monic gcd of degree 0 is one, and dividing by one is skipped
     g = gcd_monic(f, fp)
-    c = f // g
-    d = fp // g - c.derivative()
+    c, d = (f // g, fp // g) if g.degree > 0 else (f, fp)
+    d = d - c.derivative()
     parts = []
     k = 1
     while c.degree > 0:
         ak = gcd_monic(c, d) if not d.is_zero else c.monic()
         if ak.degree > 0:
             parts.append((ak, k))
-        c = c // ak
-        d = d // ak - c.derivative()
+            c, d = c // ak, d // ak
+        d = d - c.derivative()
         k += 1
     dec = SquarefreeDecomposition(unit, tuple(parts))
     if p and dec.recompose(field) != a:

@@ -13,8 +13,9 @@ import pytest
 from corrforms import geometry, invariance
 from corrforms.errors import FieldMismatch
 from corrforms.field import QQ, GF, FpElement
-from corrforms.poly import Polynomial, gcd_monic
+from corrforms.poly import Polynomial, _inverse, gcd_monic
 from corrforms.ratfunc import RationalFunction
+from corrforms.sweep import chebyshev
 
 
 def qp(*coeffs):
@@ -92,6 +93,71 @@ def gcd_by_euclid(a, b):
         if not b.is_zero:
             b = b.monic()
     return a.monic()
+
+
+def solve_flat_by_polynomials(corr, nu):
+    """invariance._solve_flat as written before it ran fraction-free: the
+    columns U_i are Polynomials over the field, and the back-substitution adds
+    scaled columns to a Polynomial residue."""
+    s1, s2 = invariance._solver_inputs(corr)
+    field = corr.field
+    lam = field.raw(Fraction(corr.d1, corr.d2) ** nu)
+    left, right = s1.derivative() ** nu, lam * s2.derivative() ** nu
+    cols = [left - right]
+    for _ in range(nu):
+        left, right = left * s2, right * s1
+        cols.append(left - right)
+    residue, coeffs = cols.pop(), []
+    for col in reversed(cols):
+        r = residue.coeffs[col.degree] if col.degree < len(residue.coeffs) else 0
+        coeffs.insert(0, field.raw(-r * _inverse(col.coeffs[-1], field.characteristic)))
+        residue = residue + col._scaled(coeffs[0])
+    return ([field.wrap(c) for c in coeffs], field.wrap(lam)) if residue.is_zero else None
+
+
+def random_rational(rng, den_bits):
+    return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 2**den_bits))
+
+
+def random_qq_poly(rng, degree, den_bits):
+    return Polynomial(QQ, [random_rational(rng, den_bits) for _ in range(degree + 1)])
+
+
+def affine(field, alpha, beta):
+    return Polynomial(field, [beta, alpha])
+
+
+def qq_pairs(rng, den_bits):
+    """Seeded Q pairs with denominators below 2**den_bits: weight-1 hits
+    (a + k1 u^m, a + k2 u^h), weight-2 hits psi^-1(T_m(u)), psi^-1(T_h(u)) for
+    affine psi, each of them plus one small term, random pairs, and four
+    pairs whose flat solve meets zero entries."""
+    t = Polynomial.variable(QQ)
+    pairs = [
+        (t**3, t),  # U_1 = 0: the residue starts at zero
+        (t**4, t**2),  # weight 1 at 0 and the degenerate weight-2 hit t^2
+        (chebyshev(5), chebyshev(3)),  # h = t^2 - 4: the top pivot meets a zero entry
+        (chebyshev(7), t),
+    ]
+    for _ in range(6):
+        a, k1, k2 = (random_rational(rng, den_bits) for _ in range(3))
+        u = random_qq_poly(rng, rng.randint(1, 3), den_bits)
+        m = rng.randint(2, 4)
+        h = rng.randint(1, m - 1)
+        pairs.append((a + k1 * u**m, a + k2 * u**h))
+        alpha, beta = random_rational(rng, den_bits), random_rational(rng, den_bits)
+        inv = affine(QQ, 1 / alpha, -beta / alpha)
+        u = random_qq_poly(rng, rng.randint(1, 2), den_bits)
+        m = rng.randint(3, 6)
+        h = rng.randint(1, m - 1)
+        pairs.append((inv.compose(chebyshev(m).compose(u)), inv.compose(chebyshev(h).compose(u))))
+    for s1, s2 in list(pairs[4:]):
+        j = rng.randrange(s1.degree)
+        pairs.append((s1 + Polynomial(QQ, [0] * j + [random_rational(rng, den_bits)]), s2))
+    for _ in range(8):
+        d1 = rng.randint(2, 7)
+        pairs.append((random_qq_poly(rng, d1, den_bits), random_qq_poly(rng, rng.randint(1, d1 - 1), den_bits)))
+    return pairs
 
 
 def divisor_by_refinement(field, components, at_infinity=0):

@@ -11,10 +11,12 @@ through.  Edge pairs fall through at q itself: (t + q, t), coprime over Q
 but equal mod q, and (q t + 1, t^2 + 1), whose leading coefficient q
 divides.
 
-Two counts guard the screen's effect: no gcd taken inside Divisor.__init__
-on a seeded check_order_identity round reaches the Euclid, and on a tiny
-identity_qq round the benchmark's tracer counts at most half the Q divisions
-with the screen that it counts without it, and no F_p division at all.
+The screen's Euclid reaches no tuple(), _divmod_raw or Polynomial, since a
+tuple per step raised peak RSS in a prototype.  Two counts guard the
+screen's effect: no gcd taken inside Divisor.__init__ on a seeded
+check_order_identity round reaches the Euclid, and on a tiny identity_qq
+round the benchmark's tracer counts at most half the Q divisions with the
+screen that it counts without it, and no F_p division at all.
 """
 
 import importlib
@@ -85,6 +87,23 @@ def test_pairs_the_screen_cannot_prove_fall_through():
     for a, b, g in cases:
         assert not poly._coprime_mod_prime(a.coeffs, b.coeffs)
         assert gcd_monic(a, b) == gcd_by_euclid(a, b) == g
+
+
+def test_screen_euclid_runs_on_lists_in_place(monkeypatch):
+    # a tuple per Euclid step (tuple(...), or _divmod_raw with its (0,) + b) cost about
+    # 2 MB of identity_qq peak RSS in a prototype: the loop reaches neither, nor Polynomial
+    pairs = list(seeded_pairs(61, 200))
+    expected = [poly._coprime_mod_prime(a.coeffs, b.coeffs) for a, b in pairs if min(a.degree, b.degree) > 0]
+    assert any(expected) and not all(expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tuple, _divmod_raw or Polynomial inside the screen's Euclid")
+
+    for name in ("tuple", "_divmod_raw", "Polynomial"):
+        monkeypatch.setattr(poly, name, refuse, raising=False)
+    got = [poly._coprime_mod_prime(a.coeffs, b.coeffs) for a, b in pairs if min(a.degree, b.degree) > 0]
+    monkeypatch.undo()
+    assert got == expected
 
 
 @pytest.fixture

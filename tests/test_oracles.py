@@ -13,13 +13,25 @@ one exists, is unique.
 Theorem 3: in characteristic 0 a flat weight-1 primitive dt/(t - a) exists
 only when (sigma1 - a, sigma2 - a) is a common-power pair
 (lambda1 sigma^m, lambda2 sigma^h).
+
+A sympy reference for detect over Q: for nu = 1, then 2, it expands
+sigma1'^nu h(sigma2) - lambda sigma2'^nu h(sigma1) for the monic h of degree nu
+with unknown lower coefficients, in sympy's sparse polynomial ring, with
+lambda the ratio of the two leading coefficients, and hands every coefficient
+equation to linsolve.  It does not use the triangular argument.  It runs on
+seeded Q pairs with denominators and on the detect documents of one seed of
+the benchmark's cli_qq generator.
 """
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
+import sympy
+from sympy.polys.rings import ring
 
 from corrforms.field import GF, QQ
 from corrforms.invariance import (
@@ -30,9 +42,10 @@ from corrforms.invariance import (
     semi_invariance_ratio,
 )
 from corrforms.poly import Polynomial
+from corrforms.serialize import document_from_json
 from corrforms.sweep import decompose_power_pair, multiplicative_pair
 
-from conftest import random_poly
+from conftest import qq_pairs, random_poly
 
 # (p, d1, d2): 4268 polynomial pairs in all; p divides neither degree
 CENSUS = ((3, 2, 1), (2, 3, 1), (3, 4, 1), (3, 4, 2), (2, 5, 3))
@@ -109,3 +122,68 @@ def test_theorem3_weight1_hits_of_random_pairs_are_power_pairs():
         outcomes.append(theorem3_holds(Correspondence(s1, s2)))
     assert False not in outcomes
     assert True in outcomes  # at this seed one pair has a weight-1 hit
+
+
+
+def linsolve_flat_form(s1, s2):
+    """(nu, [c_0, ..., c_{nu-1}], lambda) for the first weight with a monic h, or None."""
+    for nu in (1, 2):
+        R, t, *cs = ring(["t", *(f"c{i}" for i in range(nu))], sympy.QQ)
+        f1, f2 = (R({(i,) + (0,) * nu: sympy.QQ(c.numerator, c.denominator) for i, c in enumerate(s.coeffs)})
+                  for s in (s1, s2))
+        w1, w2 = f1.diff(t) ** nu, f2.diff(t) ** nu
+        lam = (w1 * f2**nu).LC / (w2 * f1**nu).LC
+
+        def h(f):
+            return f**nu + sum(c * f**i for i, c in enumerate(cs))
+
+        rows = {}  # degree in t -> coefficients of c_0, ..., c_{nu-1} and the constant
+        for (k, *e), coeff in (w1 * h(f2) - lam * w2 * h(f1)).terms():
+            rows.setdefault(k, [0] * (nu + 1))[e.index(1) if any(e) else nu] += coeff
+        unknowns = sympy.symbols(f"c0:{nu}")
+        rational = lambda x: sympy.Rational(x.numerator, x.denominator)
+        eqs = [sympy.Add(*(rational(x) * y for x, y in zip(row, (*unknowns, 1)) if x)) for row in rows.values()]
+        solutions = sympy.linsolve(eqs, unknowns)
+        if solutions:
+            (values,) = solutions
+            assert not any(v.free_symbols for v in values)  # one h, never a family
+            lam = Fraction(int(lam.numerator), int(lam.denominator))
+            return nu, [Fraction(int(v.p), int(v.q)) for v in values], lam
+    return None
+
+
+def assert_detect_matches_linsolve(corr):
+    """find_primitive against linsolve_flat_form; the weight found, 0 if none."""
+    s1, s2 = corr.sigma1.polynomial, corr.sigma2.polynomial
+    found = linsolve_flat_form(s1, s2)
+    if found is None:
+        assert find_primitive(corr).status == "trivial", (s1, s2)
+        return 0
+    nu, cs, lam = found
+    if nu == 2 and cs[1] ** 2 == 4 * cs[0]:  # degenerate, which a weight-1 hit would have preceded
+        with pytest.raises(RuntimeError):
+            find_primitive(corr)
+        return nu
+    report = find_primitive(corr)
+    params = {"a": -cs[0]} if nu == 1 else {"s": -cs[1], "q": cs[0]}
+    assert (report.status, report.weight, report.ratio, report.params) == ("cyclic", nu, lam, params), (s1, s2)
+    return nu
+
+
+@pytest.mark.parametrize("den_bits", [0, 6, 40])
+def test_detect_matches_linsolve_on_seeded_pairs(den_bits):
+    rng = random.Random(7300 + den_bits)
+    found = [assert_detect_matches_linsolve(Correspondence(s1, s2)) for s1, s2 in qq_pairs(rng, den_bits)]
+    assert found.count(1) >= 6 and found.count(2) >= 6 and found.count(0) >= 6
+
+
+def test_detect_matches_linsolve_on_benchmark_documents(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    gen = importlib.import_module("gen")
+    found = [
+        assert_detect_matches_linsolve(document_from_json(doc).corr)
+        for family, docs in gen.cli_docs(7)
+        if "detect" in gen.cli_commands(family)
+        for doc in docs
+    ]
+    assert len(found) == 216 and {0, 1, 2} <= set(found)

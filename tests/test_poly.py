@@ -6,6 +6,7 @@ implementation.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,32 @@ def test_squarefree_matches_sympy_random():
             prod = sympy.prod(by_mult[k]).as_poly(x)
             got = [Fraction(str(c)) for c in reversed(prod.all_coeffs())]
             assert list(g.coeffs) == got
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_squarefree_decompose_never_divides_by_one(field, monkeypatch):
+    # Yun's loop divides by a gcd only when it is nonconstant; a gcd of one is skipped
+    rng = random.Random(17)
+    inputs = []
+    for _ in range(30):
+        f = Polynomial.one(field)
+        for _ in range(rng.randint(1, 3)):
+            f = f * random_poly(rng, field, rng.randint(1, 3)) ** rng.randint(1, 3)
+        inputs.append(f)
+    divisors = []
+    floordiv = Polynomial.__floordiv__
+
+    def recorded(self, other):
+        # the gcds' own Euclid steps divide too; only Yun's loop is recorded
+        if sys._getframe(1).f_code is squarefree_decompose.__code__:
+            divisors.append(other)
+        return floordiv(self, other)
+
+    monkeypatch.setattr(Polynomial, "__floordiv__", recorded)
+    for f in inputs:
+        if f.degree > 0 and not f.derivative().is_zero:
+            assert squarefree_decompose(f).recompose(field) == f
+    assert divisors and all(g.degree > 0 for g in divisors)
 
 
 def test_squarefree_decompose_char_p():
