@@ -14,7 +14,10 @@ lists and converts once, at the end.  Division is one schoolbook kernel for
 both fields; it, ``monic`` and the callers in ratfunc.py and invariance.py
 invert raw scalars through ``_inverse``.  The public scalar FpElement appears
 only where a value leaves a polynomial: ``leading``, ``coefficient`` and
-evaluation.  ``gcd_monic`` over Q first tries to prove coprimality mod 2**31 - 1.
+evaluation.  Every Euclid mod a prime is one loop on residue lists reduced
+in place (``_euclid_in_place``): ``gcd_monic`` over F_p, and over Q its
+screen, which first tries to prove coprimality mod 2**31 - 1.  Yun's
+algorithm runs on raw coefficient lists in both fields.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def _inverse(r, p):
 
 
 def _divmod_raw(a, b, p):
-    """Schoolbook division of raw coefficient tuples.
+    """Schoolbook division of raw coefficient sequences, tuples or lists.
 
     One loop serves both fields: Fractions over Q (p = 0) and residues over
     F_p, where the quotient is reduced mod p and the caller reduces the
@@ -132,7 +135,7 @@ def _divmod_raw(a, b, p):
         lo = (a[-2] - hi * b[-2]) * inv
         if p:
             hi, lo = hi % p, lo % p
-        return [lo, hi], [x - lo * y - hi * z for x, y, z in zip(a[:dv], b, (0,) + b)]
+        return [lo, hi], [x - lo * y - hi * z for x, y, z in zip(a[:dv], b, (0, *b))]
     quot, rem = [0] * n, list(a)
     for k in range(n - 1, -1, -1):
         c = rem[k + dv] * inv
@@ -336,10 +339,9 @@ class Polynomial:
     def monic(self):
         if self.is_zero:
             raise ValueError("the zero polynomial cannot be made monic")
-        lead = self.coeffs[-1]
-        if lead == 1:
+        if self.coeffs[-1] == 1:
             return self
-        return self._scaled(_inverse(lead, self.field.characteristic))
+        return Polynomial._make(self.field, _monic_raw(self.coeffs, self.field.characteristic))
 
     def sort_key(self):
         return (len(self.coeffs), self.coeffs)
@@ -405,38 +407,62 @@ def compose_with_quotient(poly, num, den, order):
 _SCREEN_PRIME = 2**31 - 1  # the largest prime below GF's cap
 
 
-def _coprime_mod_prime(a, b):
-    """True when nonconstant Fraction vectors a, b, cleared, keep their leads and have gcd 1 mod q."""
-    q = _SCREEN_PRIME
-    x, y = sorted(([c % q for c in _integer_parts(cs)[0]] for cs in (a, b)), key=len, reverse=True)
-    if not x[-1] or not y[-1]:
-        return False
-    while len(y) > 1:  # Euclid mod q on lists in place: a tuple per step costs peak RSS
-        dv, inv = len(y) - 1, pow(y[-1], -1, q)
+def _monic_raw(cs, p):
+    """Raw coefficients cs over their leading one, as a new list; cs itself when that is one."""
+    lead = cs[-1]
+    if lead == 1:
+        return cs
+    inv = _inverse(lead, p)
+    return [c * inv % p for c in cs] if p else [c * inv for c in cs]
+
+
+def _euclid_in_place(x, y, p):
+    """A gcd of residue lists x and y mod p, up to a unit: the Euclid on x and y in place.
+
+    x and y hold residues without trailing zeros and are consumed.  The answer
+    is the first nonzero constant remainder, since the next step would only
+    divide by it, or else the last nonzero remainder.  No step builds a tuple,
+    a quotient or a Polynomial: a tuple per step costs peak RSS.
+    """
+    while len(y) > 1:
+        dv, inv = len(y) - 1, pow(y[-1], -1, p)
         for k in range(len(x) - len(y), -1, -1):
-            c = x[k + dv] * inv % q
+            c = x[k + dv] * inv % p
             if c:
-                x[k : k + dv] = [(r - c * yj) % q for r, yj in zip(x[k : k + dv], y)]
+                x[k : k + dv] = [(r - c * yj) % p for r, yj in zip(x[k : k + dv], y)]
         del x[dv:]
         while x and not x[-1]:
             x.pop()
         x, y = y, x
-    return bool(y)  # a nonzero constant; empty when the last y divides both
+    return y or x
+
+
+def _coprime_mod_prime(a, b):
+    """True when nonconstant Fraction vectors a, b, cleared, keep their leads and have gcd 1 mod q."""
+    q = _SCREEN_PRIME
+    x, y = ([c % q for c in _integer_parts(cs)[0]] for cs in (a, b))
+    return bool(x[-1] and y[-1]) and len(_euclid_in_place(x, y, q)) == 1
 
 
 def gcd_monic(a, b):
-    """Monic gcd by the Euclidean algorithm (remainders re-normalized).
+    """Monic gcd by the Euclidean algorithm.
 
-    Over Q, nonconstant a and b, cleared to integers, are first reduced mod q =
-    _SCREEN_PRIME.  If q divides neither lead, their primitive integer gcd keeps its
-    degree mod q, so a constant gcd mod q proves gcd(a, b) = 1 (Brown, J. ACM 18, 1971).
-    Otherwise the Euclid runs on a and b, and the answer never depends on q.
+    Over F_p the Euclid runs on residue lists in place (_euclid_in_place) and
+    its answer is made monic once.  Over Q, nonconstant a and b, cleared to
+    integers, are first reduced mod q = _SCREEN_PRIME.  If q divides neither lead,
+    their primitive integer gcd keeps its degree mod q, so a constant gcd mod q
+    proves gcd(a, b) = 1 (Brown, J. ACM 18, 1971).  Otherwise the Euclid runs on
+    a and b with monic remainders, and the answer never depends on q.
     """
     a._check(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    if not a.field.characteristic and min(a.degree, b.degree) > 0 and _coprime_mod_prime(a.coeffs, b.coeffs):
-        return Polynomial.one(a.field)
+    field = a.field
+    p = field.characteristic
+    if p:
+        return Polynomial._make(field, _monic_raw(_euclid_in_place(list(a.coeffs), list(b.coeffs), p), p))
+    if min(a.degree, b.degree) > 0 and _coprime_mod_prime(a.coeffs, b.coeffs):
+        return Polynomial.one(field)
     while not b.is_zero:
         a, b = b, (a % b)
         if not b.is_zero:
@@ -464,12 +490,18 @@ class SquarefreeDecomposition(NamedTuple):
 
 
 def squarefree_decompose(a):
-    """Yun's algorithm.
+    """Yun's algorithm (Yun, SYMSAC 1976), on raw coefficient lists.
+
+    One loop serves both fields.  Derivatives, differences and the exact
+    divisions (_divmod_raw) run on the field's raw values, and a Polynomial is
+    built only for each returned part.  Over F_p each gcd is the in-place
+    Euclid mod p; over Q it is gcd_monic, screen and Euclid.  A gcd of degree
+    0 is one, and dividing by it is skipped.
 
     In characteristic p an input with vanishing derivative (after removing
     the unit) is rejected with WildInput instead of extracting p-th roots;
-    the recomposition is also verified there, which catches multiplicities
-    that are >= p (where Yun's loop is silently wrong).
+    the recomposition is also verified there, with _mul_raw, which catches
+    multiplicities that are >= p (where Yun's loop is silently wrong).
     """
     if a.is_zero:
         raise ValueError("cannot squarefree-decompose the zero polynomial")
@@ -477,32 +509,46 @@ def squarefree_decompose(a):
     unit = a.leading
     if a.degree == 0:
         return SquarefreeDecomposition(unit, ())
-    f = a.monic()
-    fp = f.derivative()
     p = field.characteristic
-    if fp.is_zero:
+
+    def gcd(x, y):  # monic; the Euclid mod p consumes its lists, so it gets copies
+        if p:
+            return _monic_raw(_euclid_in_place(x[:], y[:], p), p)
+        return gcd_monic(Polynomial._make(field, x), Polynomial._make(field, y)).coeffs
+
+    def reduced(cs):
+        cs = [c % p for c in cs] if p else cs
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    def derivative(cs):
+        return reduced([i * c for i, c in enumerate(cs)][1:])
+
+    f = _monic_raw(list(a.coeffs), p)
+    fp = derivative(f)
+    if not fp:
         # only possible in characteristic p, for p-th powers
-        raise WildInput(f"derivative of {f} vanishes in characteristic {p}")
-    # a monic gcd of degree 0 is one, and dividing by one is skipped
-    g = gcd_monic(f, fp)
-    c, d = (f // g, fp // g) if g.degree > 0 else (f, fp)
-    d = d - c.derivative()
+        raise WildInput(f"derivative of {Polynomial._make(field, f)} vanishes in characteristic {p}")
+    g = gcd(f, fp)
+    c, d = (_divmod_raw(f, g, p)[0], _divmod_raw(fp, g, p)[0]) if len(g) > 1 else (f, fp)
     parts = []
     k = 1
-    while c.degree > 0:
-        ak = gcd_monic(c, d) if not d.is_zero else c.monic()
-        if ak.degree > 0:
+    while len(c) > 1:
+        d = reduced([x - y for x, y in zip_longest(d, derivative(c), fillvalue=0)])
+        ak = gcd(c, d) if d else c  # c is monic
+        if len(ak) > 1:
             parts.append((ak, k))
-            c, d = c // ak, d // ak
-        d = d - c.derivative()
+            c, d = _divmod_raw(c, ak, p)[0], _divmod_raw(d, ak, p)[0]
         k += 1
-    dec = SquarefreeDecomposition(unit, tuple(parts))
-    if p and dec.recompose(field) != a:
-        raise WildInput(
-            f"squarefree recomposition failed in characteristic {p} "
-            f"(multiplicity >= {p}?)"
-        )
-    return dec
+    if p:
+        acc = [1]
+        for part, mult in parts:
+            for _ in range(mult):
+                acc = _mul_raw(acc, part, p)
+        if acc != f:
+            raise WildInput(f"squarefree recomposition failed in characteristic {p} (multiplicity >= {p}?)")
+    return SquarefreeDecomposition(unit, tuple((Polynomial._make(field, part), k) for part, k in parts))
 
 
 def radical(a):

@@ -11,9 +11,9 @@ from fractions import Fraction
 import pytest
 
 from corrforms import geometry, invariance
-from corrforms.errors import FieldMismatch
+from corrforms.errors import FieldMismatch, WildInput
 from corrforms.field import QQ, GF, FpElement
-from corrforms.poly import Polynomial, _inverse, gcd_monic
+from corrforms.poly import Polynomial, SquarefreeDecomposition, _inverse, gcd_monic
 from corrforms.ratfunc import RationalFunction
 from corrforms.sweep import chebyshev
 
@@ -93,6 +93,41 @@ def gcd_by_euclid(a, b):
         if not b.is_zero:
             b = b.monic()
     return a.monic()
+
+
+def squarefree_by_polynomials(a):
+    """Yun's algorithm on Polynomial objects, with gcd_by_euclid for every gcd:
+    squarefree_decompose as written before it ran on raw coefficient lists."""
+    if a.is_zero:
+        raise ValueError("cannot squarefree-decompose the zero polynomial")
+    field = a.field
+    unit = a.leading
+    if a.degree == 0:
+        return SquarefreeDecomposition(unit, ())
+    f = a.monic()
+    fp = f.derivative()
+    p = field.characteristic
+    if fp.is_zero:
+        raise WildInput(f"derivative of {f} vanishes in characteristic {p}")
+    g = gcd_by_euclid(f, fp)
+    c, d = (f // g, fp // g) if g.degree > 0 else (f, fp)
+    d = d - c.derivative()
+    parts = []
+    k = 1
+    while c.degree > 0:
+        ak = gcd_by_euclid(c, d) if not d.is_zero else c.monic()
+        if ak.degree > 0:
+            parts.append((ak, k))
+            c, d = c // ak, d // ak
+        d = d - c.derivative()
+        k += 1
+    dec = SquarefreeDecomposition(unit, tuple(parts))
+    if p and dec.recompose(field) != a:
+        raise WildInput(
+            f"squarefree recomposition failed in characteristic {p} "
+            f"(multiplicity >= {p}?)"
+        )
+    return dec
 
 
 def solve_flat_by_polynomials(corr, nu):

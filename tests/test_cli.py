@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -426,6 +427,19 @@ def test_gen_chebyshev_feeds_check(tmp_path, capsys):
     got = json.loads(out)
     assert got["semi_invariant"] is True
     assert got["lambda"] == "9"
+
+
+def test_sweep_of_gen_chebyshev_prints_its_pinned_output(tmp_path, capsys):
+    # the skip reason at p = 2 embeds squarefree_decompose's WildInput message;
+    # the CI packaging step compares the installed entry point with the same file
+    code, out, err = run_cli(capsys, "gen", "chebyshev", "--d1", "7", "--d2", "2")
+    assert code == 0
+    path = tmp_path / "cheb.json"
+    path.write_text(out)
+    expected = (Path(__file__).resolve().parent / "cli_output" / "sweep_chebyshev_7_2.txt").read_text(encoding="utf-8")
+    assert run_cli(capsys, "sweep", str(path), "--pmin", "2", "--pmax", "100") == (0, expected, "")
+    assert len(expected.splitlines()) == 26
+    assert "sigma1: derivative of t^6 + t^4 + 1 vanishes in characteristic 2" in expected
 
 
 def test_gen_rejects_bad_parameters(capsys):

@@ -1,0 +1,141 @@
+"""Yun's loop and the F_p gcd on raw coefficient lists.
+
+squarefree_decompose runs Yun's algorithm on the field's raw values, and
+gcd_monic over F_p runs the Euclid in place on residue lists
+(poly._euclid_in_place, the loop the Q coprimality screen runs mod 2**31 - 1).
+Both are compared with the Polynomial-object versions kept in conftest.py:
+squarefree_by_polynomials must give the same unit and parts, or raise the same
+exception with the same message, on seeded products of powers with
+multiplicities up to 6, over Q with denominators and over F_p for small and
+word-size p; gcd_monic must equal gcd_by_euclid in both argument orders.
+
+No division by a constant is left in the F_p sweep: the in-place Euclid stops
+at a nonzero constant remainder instead of dividing by it, and Yun's loop
+skips a gcd of one.
+"""
+
+import builtins
+import contextlib
+import importlib
+import io
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from corrforms import cli, poly
+from corrforms.errors import CorrformsError
+from corrforms.field import GF, QQ
+from corrforms.poly import Polynomial, gcd_monic, squarefree_decompose
+
+from conftest import gcd_by_euclid, squarefree_by_polynomials
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+FIELDS = [QQ] + [GF(p) for p in (2, 3, 5, 7, 101, 2**31 - 1)]
+DENS = (1, 1, 2, 3, 7, 12)
+
+
+def random_coeff(rng, field, nonzero=False):
+    if field.characteristic:
+        span = min(field.characteristic - 1, 9)
+        return rng.randint(1, span) if nonzero else rng.randint(0, span)
+    num = rng.randint(1, 9) if nonzero else rng.randint(-9, 9)
+    return Fraction(rng.choice((-1, 1)) * num, rng.choice(DENS))
+
+
+def random_factor(rng, field, degree):
+    return Polynomial(field, [random_coeff(rng, field) for _ in range(degree)] + [random_coeff(rng, field, True)])
+
+
+def products_of_powers(field, seed, n):
+    """n seeded unit * prod f_i**k_i, 1..3 factors of degree 1..3, multiplicities 1..6,
+    after 0, a constant and three fixed powers (a seventh power vanishes under d/dt in F_7)."""
+    rng = random.Random(f"{seed}:{field.characteristic}")
+    t = Polynomial.variable(field)
+    out = [Polynomial.zero(field), Polynomial.constant(field, 3), t**6, (t + 1) ** 6 * t, (t + 2) ** 7]
+    for _ in range(n):
+        f = Polynomial.constant(field, random_coeff(rng, field, True))
+        for _ in range(rng.randint(1, 3)):
+            f = f * random_factor(rng, field, rng.randint(1, 3)) ** rng.choice((1, 1, 1, 2, 3, 4, 5, 6))
+        out.append(f)
+    return out
+
+
+def outcome(decompose, f):
+    try:
+        dec = decompose(f)
+    except (ValueError, CorrformsError) as exc:
+        return type(exc), str(exc)
+    return dec.unit, dec.parts
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.characteristic))
+def test_yun_on_lists_matches_polynomial_yun(field):
+    p = field.characteristic
+    raw_type = int if p else Fraction
+    errors, decomposed, repeated = set(), 0, 0
+    for f in products_of_powers(field, 23, 120):
+        got, expected = outcome(squarefree_decompose, f), outcome(squarefree_by_polynomials, f)
+        assert got == expected, f
+        if isinstance(got[0], type):
+            errors.add((got[0].__name__, got[1].split()[0]))
+            continue
+        for part, _ in got[1]:
+            assert type(part) is Polynomial and part.field == field
+            assert all(type(c) is raw_type for c in part.coeffs), part
+        decomposed += 1
+        repeated += any(k > 1 for _, k in got[1])
+    assert decomposed >= 10 and (p == 2 or repeated >= 10)  # over F_2 a square is wild
+    wild = {("WildInput", "derivative"), ("WildInput", "squarefree")} if 0 < p <= 7 else set()
+    assert errors == {("ValueError", "cannot")} | wild
+
+
+@pytest.mark.parametrize("field", FIELDS[1:], ids=lambda f: str(f.characteristic))
+def test_fp_gcd_matches_the_euclid(field):
+    rng = random.Random(f"gcd:{field.characteristic}")
+    zero = Polynomial.zero(field)
+    pairs = [(zero, random_factor(rng, field, 2)), (Polynomial.constant(field, 2), random_factor(rng, field, 3))]
+    for _ in range(300):
+        common = random_factor(rng, field, rng.choice((0, 0, 1, 2, 3)))
+        pairs.append(tuple(random_factor(rng, field, rng.randint(0, 6)) * common for _ in range(2)))
+    nontrivial = 0
+    for a, b in pairs:
+        expected = gcd_by_euclid(a, b)
+        assert gcd_monic(a, b) == expected, (a, b)
+        assert gcd_monic(b, a) == expected, (b, a)
+        nontrivial += expected.degree > 0
+    assert nontrivial >= 100
+
+
+def test_fp_sweep_divides_by_no_constant(tmp_path, monkeypatch):
+    # sweep --pmin 2 --pmax 1000 over the benchmark's four sweep_fp pairs: every F_p
+    # division goes through _divmod_raw or is a step of _euclid_in_place, whose
+    # divisor y it reads when it inverts y's leading coefficient
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    docs = importlib.import_module("gen").sweep_docs()
+    divisions, euclid_steps = [], []
+    divmod_raw, euclid = poly._divmod_raw, poly._euclid_in_place.__code__
+
+    def recorded_divmod(a, b, p):
+        if p:
+            divisions.append(len(b))
+        return divmod_raw(a, b, p)
+
+    def recorded_pow(*args):
+        frame = sys._getframe(1)
+        if frame.f_code is euclid:
+            euclid_steps.append(len(frame.f_locals["y"]))
+        return builtins.pow(*args)
+
+    monkeypatch.setattr(poly, "_divmod_raw", recorded_divmod)
+    monkeypatch.setattr(poly, "pow", recorded_pow, raising=False)
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sweep", str(path), "--pmin", "2", "--pmax", "1000"]) == 0
+    assert len(divisions) > 1000 and len(euclid_steps) > 1000
+    assert [n for n in divisions + euclid_steps if n <= 1] == []
