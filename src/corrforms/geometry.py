@@ -73,7 +73,10 @@ class RationalMap:
 
     @property
     def is_separable(self):
-        # A/B is coprime, so A'B = AB' forces A | A' and B | B', i.e. A' = B' = 0
+        # A/B is coprime, so A'B = AB' forces A | A' and B | B', i.e. A' = B' = 0,
+        # which in characteristic 0 only a constant map satisfies
+        if not self.field.characteristic:
+            return True
         return not (self.body.num.derivative().is_zero and self.body.den.derivative().is_zero)
 
     def compose(self, other):

@@ -12,7 +12,6 @@ one triangular linear system then forces the coefficients of h.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple
@@ -33,7 +32,7 @@ from .geometry import (
     conductor,
     divisor_of_form,
 )
-from .poly import Polynomial, _integer_parts, _inverse, _mul_raw, compose_with_quotient
+from .poly import Polynomial, _integer_parts, _inverse, _mul_raw, _normalized, compose_with_quotient
 from .ratfunc import RationalFunction, _wronskian
 
 
@@ -97,15 +96,6 @@ def _pulled_back(sigma, omega):
     if nu < 0:
         top, bottom, nu = bottom, top, -nu
     return compose_with_quotient(f, a, b, n) * top**nu, compose_with_quotient(g, a, b, n) * bottom**nu
-
-
-def _normalized(v, p):
-    """v over its content with a positive leading entry when p = 0; v made monic mod p otherwise."""
-    if p:
-        inv = pow(v[-1], -1, p)
-        return [c * inv % p for c in v]
-    g = math.gcd(*v) if v[-1] > 0 else -math.gcd(*v)
-    return [c // g for c in v]
 
 
 def semi_invariance_ratio(corr, omega):

@@ -10,14 +10,16 @@ Fractions over Q and plain int residues in [0, p) over F_p.  Both fields
 multiply by Kronecker substitution on integers (``_mul_raw``): F_p on the
 residues, then ``% p``; Q on the numerators over one common denominator,
 then back to Fractions.  Composition runs Horner's rule on those integer
-lists and converts once, at the end.  Division is one schoolbook kernel for
-both fields; it, ``monic`` and the callers in ratfunc.py and invariance.py
-invert raw scalars through ``_inverse``.  The public scalar FpElement appears
+lists (``_horner_raw``) and converts once, at the end.  Division is one
+schoolbook kernel for both fields, which also divides integer vectors
+exactly; ``monic`` and the callers in ratfunc.py and invariance.py invert
+raw scalars through ``_inverse``.  The public scalar FpElement appears
 only where a value leaves a polynomial: ``leading``, ``coefficient`` and
 evaluation.  Every Euclid mod a prime is one loop on residue lists reduced
 in place (``_euclid_in_place``): ``gcd_monic`` over F_p, and over Q its
 screen, which first tries to prove coprimality mod 2**31 - 1.  Yun's
-algorithm runs on raw coefficient lists in both fields.
+algorithm runs on monic residue lists over F_p and on primitive integer
+vectors over Q.
 """
 
 from __future__ import annotations
@@ -124,24 +126,36 @@ def _divmod_raw(a, b, p):
 
     One loop serves both fields: Fractions over Q (p = 0) and residues over
     F_p, where the quotient is reduced mod p and the caller reduces the
-    remainder.  A two-term quotient, the usual Euclid step, is read off the
-    top coefficients and the remainder is built in one pass.
+    remainder.  Over Q it also takes integer sequences whose quotient the
+    caller knows to be integral, as for a primitive divisor (Gauss's lemma);
+    each quotient coefficient is then an exact floor division by the lead.
+    A two-term quotient, the usual Euclid step, is read off the top
+    coefficients and the remainder is built in one pass.
     """
     dv = len(b) - 1
     n = len(a) - dv
-    inv = _inverse(b[-1], p)
+    lead = b[-1]
+    if p:
+        inv = pow(lead, -1, p)
+
+        def top(x):
+            return x * inv % p
+    elif type(lead) is int:
+
+        def top(x):
+            return x // lead
+    else:
+        inv = 1 / lead
+
+        def top(x):
+            return x * inv
     if n == 2 and dv:
-        hi = a[-1] * inv
-        lo = (a[-2] - hi * b[-2]) * inv
-        if p:
-            hi, lo = hi % p, lo % p
+        hi = top(a[-1])
+        lo = top(a[-2] - hi * b[-2])
         return [lo, hi], [x - lo * y - hi * z for x, y, z in zip(a[:dv], b, (0, *b))]
     quot, rem = [0] * n, list(a)
     for k in range(n - 1, -1, -1):
-        c = rem[k + dv] * inv
-        if p:
-            c %= p
-        quot[k] = c
+        c = quot[k] = top(rem[k + dv])
         if c:
             rem[k : k + dv] = [r - c * bj for r, bj in zip(rem[k : k + dv], b)]
     return quot, rem[:dv]
@@ -373,34 +387,52 @@ class Polynomial:
         return f"<{self.field!r}: {self}>"
 
 
-def compose_with_quotient(poly, num, den, order):
-    """den**order * poly(num/den) by Horner's rule, a polynomial; needs order >= deg(poly).
+def _horner_raw(outers, num, den, order):
+    """Horner's rule on integers for each polynomial f in outers, at one inner quotient num/den.
 
-    Over Q, for P/d_P, N/d_N and D/d_D with integer P, N and D, the loop runs
-    on the integers with inner map (N d_D)/(D d_N), and each output
-    coefficient is one Fraction over d_P (d_N d_D)**order.  Over F_p it runs
-    on the residues.
+    Each f = F/d_F and the inner map are cleared to integers: over Q, for
+    num = N/d_N and den = D/d_D, the loop runs at (N d_D)/(D d_N); over F_p on
+    the residues, where every d is 1.  Returns the pairs (L, d_F) and the
+    scale s = (d_N d_D)**order, with den**order * f(num/den) = L/(d_F s).  The
+    powers of the inner denominator are shared by all of outers, and every
+    f needs order >= deg f.
     """
-    poly._check(num)  # every caller passes num and den over one field
-    if poly.is_zero:
-        return Polynomial.zero(poly.field)
-    n = len(poly.coeffs) - 1
-    if order < n:
-        raise ValueError("order must be at least deg(poly)")
-    p = poly.field.characteristic
-    (cs, dp), (ns, dn), (ds, dd) = (_integer_parts(f.coeffs) for f in (poly, num, den))
+    p = num.field.characteristic
+    (ns, dn), (ds, dd) = _integer_parts(num.coeffs), _integer_parts(den.coeffs)
     ns, ds = [c * dd for c in ns], [c * dn for c in ds]
-    acc, dpow = [cs[-1]], [1]
-    for c in reversed(cs[:-1]):
-        dpow = _mul_raw(dpow, ds, p)
-        acc = [x + c * y for x, y in zip_longest(_mul_raw(acc, ns, p), dpow, fillvalue=0)]
-        if p:
-            acc = [x % p for x in acc]
-    for _ in range(order - n):
-        acc = _mul_raw(acc, ds, p)
-    if not p:
-        d = dp * (dn * dd) ** order
-        acc = [Fraction(c, d) for c in acc]
+    dpows = [[1]]
+
+    def power(k):
+        while len(dpows) <= k:
+            dpows.append(_mul_raw(dpows[-1], ds, p))
+        return dpows[k]
+
+    out = []
+    for f in outers:
+        f._check(num)  # every caller passes num and den over one field
+        cs, df = _integer_parts(f.coeffs)
+        if len(cs) > order + 1:
+            raise ValueError("order must be at least deg(poly)")
+        acc = []
+        for k, c in enumerate(reversed(cs)):
+            acc = [x + c * y for x, y in zip_longest(_mul_raw(acc, ns, p), power(k), fillvalue=0)]
+            if p:
+                acc = [x % p for x in acc]
+        if acc and len(cs) <= order:
+            acc = _mul_raw(acc, power(order + 1 - len(cs)), p)
+        out.append((acc, df))
+    return out, (dn * dd) ** order
+
+
+def compose_with_quotient(poly, num, den, order):
+    """den**order * poly(num/den) by Horner's rule on integers (_horner_raw), a polynomial.
+
+    Needs order >= deg(poly).  Over Q each output coefficient is one
+    Fraction; over F_p the residues are kept.
+    """
+    ((acc, dp),), scale = _horner_raw((poly,), num, den, order)
+    if not poly.field.characteristic:
+        acc = [Fraction(c, dp * scale) for c in acc]
     return Polynomial._make(poly.field, acc)
 
 
@@ -414,6 +446,14 @@ def _monic_raw(cs, p):
         return cs
     inv = _inverse(lead, p)
     return [c * inv % p for c in cs] if p else [c * inv for c in cs]
+
+
+def _normalized(v, p):
+    """Integer vector v over its content with a positive leading entry when p = 0; v made monic mod p otherwise."""
+    if p:
+        return _monic_raw(v, p)
+    g = math.gcd(*v) if v[-1] > 0 else -math.gcd(*v)
+    return [c // g for c in v]
 
 
 def _euclid_in_place(x, y, p):
@@ -438,7 +478,7 @@ def _euclid_in_place(x, y, p):
 
 
 def _coprime_mod_prime(a, b):
-    """True when nonconstant Fraction vectors a, b, cleared, keep their leads and have gcd 1 mod q."""
+    """True when vectors a, b of Fractions or integers, cleared, keep their leads and have gcd 1 mod q."""
     q = _SCREEN_PRIME
     x, y = ([c % q for c in _integer_parts(cs)[0]] for cs in (a, b))
     return bool(x[-1] and y[-1]) and len(_euclid_in_place(x, y, q)) == 1
@@ -492,11 +532,17 @@ class SquarefreeDecomposition(NamedTuple):
 def squarefree_decompose(a):
     """Yun's algorithm (Yun, SYMSAC 1976), on raw coefficient lists.
 
-    One loop serves both fields.  Derivatives, differences and the exact
-    divisions (_divmod_raw) run on the field's raw values, and a Polynomial is
-    built only for each returned part.  Over F_p each gcd is the in-place
-    Euclid mod p; over Q it is gcd_monic, screen and Euclid.  A gcd of degree
-    0 is one, and dividing by it is skipped.
+    One loop serves both fields: monic residue lists over F_p, and over Q
+    primitive integer vectors (content removed, positive leading entry).
+    Derivatives, differences and the exact divisions (_divmod_raw) run on
+    these lists, and a Polynomial is built only for each returned part, made
+    monic.  Over Q, c and d are always divided by the same gcd, so they keep
+    one common scale against the monic loop, and a primitive divisor of an
+    integer vector leaves an integral quotient (Gauss's lemma).  Over F_p each
+    gcd is the in-place Euclid mod p.  Over Q it is first screened mod a prime
+    (_coprime_mod_prime); past the screen gcd_monic's Euclid computes it, and
+    its primitive part goes on.  A gcd of degree 0 is one, and dividing by it
+    is skipped.
 
     In characteristic p an input with vanishing derivative (after removing
     the unit) is rejected with WildInput instead of extracting p-th roots;
@@ -511,10 +557,13 @@ def squarefree_decompose(a):
         return SquarefreeDecomposition(unit, ())
     p = field.characteristic
 
-    def gcd(x, y):  # monic; the Euclid mod p consumes its lists, so it gets copies
+    def gcd(x, y):  # normalized; the Euclid mod p consumes its lists, so it gets copies
         if p:
             return _monic_raw(_euclid_in_place(x[:], y[:], p), p)
-        return gcd_monic(Polynomial._make(field, x), Polynomial._make(field, y)).coeffs
+        if _coprime_mod_prime(x, y):
+            return [1]
+        g = gcd_monic(*(Polynomial._make(field, [Fraction(c) for c in cs]) for cs in (x, y)))
+        return _integer_parts(g.coeffs)[0]  # a monic polynomial cleared to integers is primitive
 
     def reduced(cs):
         cs = [c % p for c in cs] if p else cs
@@ -525,7 +574,7 @@ def squarefree_decompose(a):
     def derivative(cs):
         return reduced([i * c for i, c in enumerate(cs)][1:])
 
-    f = _monic_raw(list(a.coeffs), p)
+    f = _normalized(list(a.coeffs) if p else _integer_parts(a.coeffs)[0], p)
     fp = derivative(f)
     if not fp:
         # only possible in characteristic p, for p-th powers
@@ -536,7 +585,7 @@ def squarefree_decompose(a):
     k = 1
     while len(c) > 1:
         d = reduced([x - y for x, y in zip_longest(d, derivative(c), fillvalue=0)])
-        ak = gcd(c, d) if d else c  # c is monic
+        ak = gcd(c, d) if d else c  # c is normalized
         if len(ak) > 1:
             parts.append((ak, k))
             c, d = _divmod_raw(c, ak, p)[0], _divmod_raw(d, ak, p)[0]
@@ -548,6 +597,8 @@ def squarefree_decompose(a):
                 acc = _mul_raw(acc, part, p)
         if acc != f:
             raise WildInput(f"squarefree recomposition failed in characteristic {p} (multiplicity >= {p}?)")
+    else:
+        parts = [([Fraction(c, part[-1]) for c in part], k) for part, k in parts]
     return SquarefreeDecomposition(unit, tuple((Polynomial._make(field, part), k) for part, k in parts))
 
 

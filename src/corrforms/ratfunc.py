@@ -9,7 +9,9 @@ reduced once gcd(a, d) and gcd(c, b) are cancelled.
 
 from __future__ import annotations
 
-from .poly import Polynomial, _inverse, compose_with_quotient, gcd_monic
+from fractions import Fraction
+
+from .poly import Polynomial, _horner_raw, _inverse, gcd_monic
 
 
 def _wronskian(body):
@@ -164,17 +166,31 @@ class RationalFunction:
         return RationalFunction(_wronskian(self), self.den * self.den)
 
     def compose(self, inner):
-        """self(inner(t)) for a RationalFunction inner."""
+        """self(inner(t)) for a RationalFunction inner.
+
+        One Horner pass on integers (_horner_raw) composes num and den up to
+        one common scale, and each output coefficient is then built once, as
+        a Fraction over Q, with the denominator made monic.
+        """
         if not isinstance(inner, RationalFunction):
             inner = RationalFunction(inner)
         order = max(len(self.num.coeffs), len(self.den.coeffs)) - 1
-        n = compose_with_quotient(self.num, inner.num, inner.den, order)
-        d = compose_with_quotient(self.den, inner.num, inner.den, order)
-        if d.is_zero:
+        ((n, dn), (d, dd)), _ = _horner_raw((self.num, self.den), inner.num, inner.den, order)
+        while d and not d[-1]:
+            d.pop()
+        if not d:
             raise ZeroDivisionError("composition denominator vanished")
         # n, d coprime: mod a factor of inner.den one is c * inner.num**order, c != 0,
         # and any other common factor gives self.num and self.den a common root inner(x)
-        return _coprime(n, d)
+        field = self.field
+        p = field.characteristic
+        lead = d[-1] * dn  # self(inner) = (n dd)/(d dn)
+        if p:
+            inv = pow(lead, -1, p)
+            n, d = [c * inv % p for c in n], [c * inv % p for c in d]
+        else:
+            n, d = [Fraction(c * dd, lead) for c in n], [Fraction(c * dn, lead) for c in d]
+        return _coprime(Polynomial._make(field, n), Polynomial._make(field, d))
 
     def __call__(self, x):
         dv = self.den(x)

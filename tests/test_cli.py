@@ -688,6 +688,28 @@ RATIONAL_MOBIUS_PAIR = {
 }
 
 
+CLI_OUTPUT = Path(__file__).resolve().parent / "cli_output"
+
+
+@pytest.mark.parametrize(
+    "command, doc, name",
+    [
+        ("detect", CHEB_SHIFTED, "detect_cheb_shifted.txt"),
+        ("check", CHEB_SHIFTED, "check_cheb_shifted.txt"),
+        ("check", RATIONAL_MOBIUS_PAIR, "check_rational_mobius_pair.txt"),
+    ],
+)
+def test_mobius_documents_print_their_pinned_output(tmp_path, capsys, command, doc, name):
+    # the Moebius normal form composes rational maps; its output is pinned byte for byte
+    expected = (CLI_OUTPUT / name).read_text(encoding="utf-8")
+    assert run_cli(capsys, command, write_doc(tmp_path, "doc.json", doc)) == (0, expected, "")
+
+
+def test_pinned_mobius_document_is_the_one_ci_checks():
+    # the CI packaging step runs the installed entry point on this file
+    assert json.loads((CLI_OUTPUT / "rational_mobius_pair.json").read_text(encoding="utf-8")) == RATIONAL_MOBIUS_PAIR
+
+
 def test_no_taylor_coefficient_in_any_characteristic(
     tmp_path, capsys, monkeypatch, count_ramification_places
 ):

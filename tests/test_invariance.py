@@ -15,6 +15,7 @@ import pytest
 from corrforms import invariance
 from corrforms.errors import (
     HypothesisNotMet,
+    InseparableMap,
     NormalizationRequired,
     NotSemiInvariant,
     UnsupportedEqualDegrees,
@@ -22,6 +23,7 @@ from corrforms.errors import (
 )
 from corrforms.field import GF, QQ, FpElement
 from corrforms.geometry import DifferentialForm, MobiusTransform, RationalMap, is_tame, mobius_conjugate
+from corrforms.poly import Polynomial
 from corrforms.invariance import (
     Correspondence,
     affine_conductor_guard,
@@ -43,6 +45,26 @@ from conftest import fp, qp, random_poly, random_separable_poly, rf
 
 def corr(f, g):
     return Correspondence(f, g)
+
+
+def test_correspondence_over_q_takes_no_derivative(monkeypatch):
+    # over Q a nonconstant A/B is separable: A'B = AB' would force A' = B' = 0
+    fields = []
+    derivative = Polynomial.derivative
+
+    def counted(self):
+        fields.append(self.field)
+        return derivative(self)
+
+    monkeypatch.setattr(Polynomial, "derivative", counted)
+    t = qp(0, 1)
+    for sigma1, sigma2 in ((t**3 + t, t), (rf(t**2 + 1, t - 3), t**5), (rf(qp(1), t), rf(t**4, t**3 + 2))):
+        Correspondence(sigma1, sigma2)
+    assert fields == []
+    u = fp(5, 0, 1)
+    with pytest.raises(InseparableMap, match=r"^sigma1 = t\^5 is inseparable$"):
+        Correspondence(u**5, u**2)
+    assert fields and all(f == GF(5) for f in fields)
 
 
 def t_pair(m, h):

@@ -19,6 +19,12 @@ Division and the monic gcd are compared with dup_div and dup_gcd over QQ on
 seeded operands of degree 0..40 and the same heights: two-term quotients
 (the Euclid step), constant, monic and non-monic divisors, divisors longer
 than the dividend, and gcd inputs with a planted common factor or none.
+
+The squarefree decomposition, which runs Yun's loop on primitive integer
+vectors, is compared with dup_sqf_list over QQ on 100 seeded products
+unit * prod f_i**k_i of degree <= 40: denominators in the unit and in the
+factors, multiplicities 1..6, factors repeated under two multiplicities,
+and negative leading coefficients.
 """
 
 import random
@@ -28,9 +34,10 @@ import pytest
 from sympy.polys.densearith import dup_div, dup_mul
 from sympy.polys.domains import QQ as SQQ
 from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from corrforms.field import QQ
-from corrforms.poly import Polynomial, compose_with_quotient, gcd_monic
+from corrforms.poly import Polynomial, compose_with_quotient, gcd_monic, squarefree_decompose
 
 from conftest import horner_by_polynomials
 
@@ -174,3 +181,40 @@ def test_compose_with_quotient_matches_polynomial_horner(height):
         if poly.degree >= 1:
             with pytest.raises(ValueError, match="order must be at least deg"):
                 compose_with_quotient(poly, num, den, poly.degree - 1)
+
+
+def squarefree_inputs():
+    rng = random.Random("sqf")
+    inputs = []
+    while len(inputs) < 100:
+        height = rng.choice((1, 2**7, 2**7, 2**31))
+        f = Polynomial.constant(QQ, random_coeff(rng, height) or Fraction(-3, 7))
+        factors, budget = [], 40
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(1, 6)
+            if budget < k:
+                break
+            if factors and rng.random() < 0.2:
+                g = rng.choice(factors)  # the same factor under a second multiplicity
+            else:
+                g = random_qq(rng, rng.randint(1, min(4, budget // k)), height)
+            if g.degree * k <= budget:
+                factors.append(g)
+                f = f * g**k
+                budget -= g.degree * k
+        if f.degree > 0:
+            inputs.append(f)
+    return inputs
+
+
+def test_squarefree_decompose_matches_dup_sqf_list():
+    multiplicities = set()
+    for f in squarefree_inputs():
+        assert f.degree <= 40
+        dec = squarefree_decompose(f)
+        coeff, parts = dup_sqf_list(dense(f), SQQ)
+        assert dec.unit == Fraction(coeff.numerator, coeff.denominator)
+        assert [(dense(part), k) for part, k in dec.parts] == parts
+        assert all(type(c) is Fraction for part, _ in dec.parts for c in part.coeffs)
+        multiplicities.update(k for _, k in dec.parts)
+    assert multiplicities >= set(range(1, 7))

@@ -115,6 +115,55 @@ def test_compose_matches_constructor(field):
     assert checked > 100
 
 
+def poly_with_denominators(rng, field, degree):
+    """random_poly, with Fraction coefficients of denominators 1..12 over Q."""
+    if field is not QQ or degree < 0:
+        return random_poly(rng, field, degree)
+    while True:
+        f = Polynomial(field, [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(degree + 1)])
+        if f.degree == degree:
+            return f
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_compose_matches_the_two_step_oracle(field):
+    # compose runs one integer Horner pass for num and den and makes den monic;
+    # the oracle composes them one at a time and reduces by the full gcd
+    rng = random.Random(f"compose parity {field!r}")
+    zero = RationalFunction(Polynomial.zero(field))
+    checked = vanished = 0
+    for _ in range(80):
+        outer = RationalFunction(*(poly_with_denominators(rng, field, rng.randint(lo, 5)) for lo in (-1, 0)))
+        inner = RationalFunction(*(poly_with_denominators(rng, field, rng.randint(0, 4)) for _ in "nd"))
+        constant = RationalFunction.constant(field, poly_with_denominators(rng, field, 0).coefficient(0))
+        for f, g in ((outer, inner), (constant, inner), (zero, inner), (outer, zero), (outer, constant)):
+            try:
+                want = compose_by_constructor(f, g)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError, match="composition denominator vanished"):
+                    f.compose(g)
+                vanished += 1
+                continue
+            assert_same(f.compose(g), want)
+            checked += 1
+    assert checked > 300
+    assert vanished or field is QQ
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=repr)
+def test_mobius_conjugate_round_trip(field):
+    rng = random.Random(f"conjugate {field!r}")
+    rounds = 0
+    while rounds < 30:
+        a, b, c, d = (poly_with_denominators(rng, field, 0).coefficient(0) for _ in "abcd")
+        body = RationalFunction(*(poly_with_denominators(rng, field, rng.randint(0, 4)) for _ in "nd"))
+        if not (a * d - b * c) or body.is_constant:
+            continue
+        sigma, phi = RationalMap(body), MobiusTransform(field, a, b, c, d)
+        assert mobius_conjugate(mobius_conjugate(sigma, phi), phi.inverse()) == sigma
+        rounds += 1
+
+
 def ratio_by_quotient(corr, omega):
     """lambda by the definition: sigma1^* omega / sigma2^* omega is a constant."""
     w1 = pullback(corr.sigma1, omega).coeff
