@@ -197,7 +197,8 @@ def _solve_flat(corr, nu):
             s *= pv
     if any(res):
         return None
-    coeffs = [field.wrap(-r * pow(den, -1, p) % p if p else Fraction(-r, den)) for r, den in reversed(ys)]
+    # over F_p each den is a product of pivots, nonzero residues, so p divides none
+    coeffs = [field.scalar(Fraction(-r, den)) for r, den in reversed(ys)]
     return coeffs, field.wrap(field.raw(Fraction(d1, d2) ** nu))
 
 

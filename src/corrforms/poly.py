@@ -19,7 +19,8 @@ evaluation.  Every Euclid mod a prime is one loop on residue lists reduced
 in place (``_euclid_in_place``): ``gcd_monic`` over F_p, and over Q its
 screen, which first tries to prove coprimality mod 2**31 - 1.  Yun's
 algorithm runs on monic residue lists over F_p and on primitive integer
-vectors over Q.
+vectors over Q, takes every gcd from ``gcd_monic`` and checks its
+characteristic-p result with ``SquarefreeDecomposition.recompose``.
 """
 
 from __future__ import annotations
@@ -485,19 +486,22 @@ def _coprime_mod_prime(a, b):
 
 
 def gcd_monic(a, b):
-    """Monic gcd by the Euclidean algorithm.
+    """Monic gcd by the Euclidean algorithm; one at once for a nonzero constant argument.
 
     Over F_p the Euclid runs on residue lists in place (_euclid_in_place) and
-    its answer is made monic once.  Over Q, nonconstant a and b, cleared to
-    integers, are first reduced mod q = _SCREEN_PRIME.  If q divides neither lead,
-    their primitive integer gcd keeps its degree mod q, so a constant gcd mod q
-    proves gcd(a, b) = 1 (Brown, J. ACM 18, 1971).  Otherwise the Euclid runs on
-    a and b with monic remainders, and the answer never depends on q.
+    its answer is made monic once.  Over Q, a and b, cleared to integers, are
+    first reduced mod q = _SCREEN_PRIME, the one place this screen runs.  If q
+    divides neither lead, their primitive integer gcd keeps its degree mod q,
+    so a constant gcd mod q proves gcd(a, b) = 1 (Brown, J. ACM 18, 1971).
+    Otherwise the Euclid runs on a and b with monic remainders, and the answer
+    never depends on q.
     """
     a._check(b)
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     field = a.field
+    if a.degree == 0 or b.degree == 0:
+        return Polynomial.one(field)
     p = field.characteristic
     if p:
         return Polynomial._make(field, _monic_raw(_euclid_in_place(list(a.coeffs), list(b.coeffs), p), p))
@@ -535,19 +539,17 @@ def squarefree_decompose(a):
     One loop serves both fields: monic residue lists over F_p, and over Q
     primitive integer vectors (content removed, positive leading entry).
     Derivatives, differences and the exact divisions (_divmod_raw) run on
-    these lists, and a Polynomial is built only for each returned part, made
-    monic.  Over Q, c and d are always divided by the same gcd, so they keep
-    one common scale against the monic loop, and a primitive divisor of an
-    integer vector leaves an integral quotient (Gauss's lemma).  Over F_p each
-    gcd is the in-place Euclid mod p.  Over Q it is first screened mod a prime
-    (_coprime_mod_prime); past the screen gcd_monic's Euclid computes it, and
-    its primitive part goes on.  A gcd of degree 0 is one, and dividing by it
-    is skipped.
+    these lists.  Over Q, c and d are always divided by the same gcd, so they
+    keep one common scale against the monic loop, and a primitive divisor of
+    an integer vector leaves an integral quotient (Gauss's lemma).  Each gcd
+    is one gcd_monic call on the lists taken to raw values, and its monic
+    answer cleared to integers is primitive.  A gcd of degree 0 is one, and
+    dividing by it is skipped.
 
     In characteristic p an input with vanishing derivative (after removing
-    the unit) is rejected with WildInput instead of extracting p-th roots;
-    the recomposition is also verified there, with _mul_raw, which catches
-    multiplicities that are >= p (where Yun's loop is silently wrong).
+    the unit) is rejected with WildInput instead of extracting p-th roots.
+    Only when p <= deg a can a multiplicity reach p, where Yun's loop is
+    silently wrong; there the recomposition is checked.
     """
     if a.is_zero:
         raise ValueError("cannot squarefree-decompose the zero polynomial")
@@ -555,15 +557,11 @@ def squarefree_decompose(a):
     unit = a.leading
     if a.degree == 0:
         return SquarefreeDecomposition(unit, ())
-    p = field.characteristic
+    p, raw = field.characteristic, field.raw
 
-    def gcd(x, y):  # normalized; the Euclid mod p consumes its lists, so it gets copies
-        if p:
-            return _monic_raw(_euclid_in_place(x[:], y[:], p), p)
-        if _coprime_mod_prime(x, y):
-            return [1]
-        g = gcd_monic(*(Polynomial._make(field, [Fraction(c) for c in cs]) for cs in (x, y)))
-        return _integer_parts(g.coeffs)[0]  # a monic polynomial cleared to integers is primitive
+    def gcd(x, y):
+        g = gcd_monic(*(Polynomial._make(field, [raw(c) for c in cs]) for cs in (x, y)))
+        return _integer_parts(g.coeffs)[0]
 
     def reduced(cs):
         cs = [c % p for c in cs] if p else cs
@@ -587,19 +585,13 @@ def squarefree_decompose(a):
         d = reduced([x - y for x, y in zip_longest(d, derivative(c), fillvalue=0)])
         ak = gcd(c, d) if d else c  # c is normalized
         if len(ak) > 1:
-            parts.append((ak, k))
+            parts.append((ak if p else [Fraction(x, ak[-1]) for x in ak], k))
             c, d = _divmod_raw(c, ak, p)[0], _divmod_raw(d, ak, p)[0]
         k += 1
-    if p:
-        acc = [1]
-        for part, mult in parts:
-            for _ in range(mult):
-                acc = _mul_raw(acc, part, p)
-        if acc != f:
-            raise WildInput(f"squarefree recomposition failed in characteristic {p} (multiplicity >= {p}?)")
-    else:
-        parts = [([Fraction(c, part[-1]) for c in part], k) for part, k in parts]
-    return SquarefreeDecomposition(unit, tuple((Polynomial._make(field, part), k) for part, k in parts))
+    dec = SquarefreeDecomposition(unit, tuple((Polynomial._make(field, part), k) for part, k in parts))
+    if 0 < p <= a.degree and dec.recompose(field) != a:
+        raise WildInput(f"squarefree recomposition failed in characteristic {p} (multiplicity >= {p}?)")
+    return dec
 
 
 def radical(a):

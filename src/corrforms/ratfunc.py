@@ -170,7 +170,8 @@ class RationalFunction:
 
         One Horner pass on integers (_horner_raw) composes num and den up to
         one common scale, and each output coefficient is then built once, as
-        a Fraction over Q, with the denominator made monic.
+        a Fraction taken to the field's raw value, with the denominator made
+        monic.
         """
         if not isinstance(inner, RationalFunction):
             inner = RationalFunction(inner)
@@ -182,14 +183,10 @@ class RationalFunction:
             raise ZeroDivisionError("composition denominator vanished")
         # n, d coprime: mod a factor of inner.den one is c * inner.num**order, c != 0,
         # and any other common factor gives self.num and self.den a common root inner(x)
+        # self(inner) = (n dd)/(d dn); over F_p, dn = dd = 1 and the lead is a nonzero residue
         field = self.field
-        p = field.characteristic
-        lead = d[-1] * dn  # self(inner) = (n dd)/(d dn)
-        if p:
-            inv = pow(lead, -1, p)
-            n, d = [c * inv % p for c in n], [c * inv % p for c in d]
-        else:
-            n, d = [Fraction(c * dd, lead) for c in n], [Fraction(c * dn, lead) for c in d]
+        raw, lead = field.raw, d[-1] * dn
+        n, d = [raw(Fraction(c * dd, lead)) for c in n], [raw(Fraction(c * dn, lead)) for c in d]
         return _coprime(Polynomial._make(field, n), Polynomial._make(field, d))
 
     def __call__(self, x):

@@ -9,6 +9,7 @@ path of the offending value.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,9 +27,13 @@ _MAX_CHECK_FORM_DEGREE = 128  # the largest n = max(deg num, deg den) of the for
 
 
 def scalar_str(x):
-    if isinstance(x, (Fraction, FpElement, int)):  # FpElement prints its residue
-        return str(x)
-    raise TypeError(f"not a scalar: {x!r}")
+    if not isinstance(x, (Fraction, FpElement, int)):
+        raise TypeError(f"not a scalar: {x!r}")
+    try:
+        return str(x)  # FpElement prints its residue
+    except ValueError:  # only Python's int-to-string digit limit makes str raise
+        limit = sys.get_int_max_str_digits()
+        raise InputFormatError(f"a result has more than {limit} digits, Python's int-to-string limit") from None
 
 
 def parse_scalar(field, value, where):

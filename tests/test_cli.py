@@ -738,3 +738,23 @@ def test_no_taylor_coefficient_in_any_characteristic(
     assert run_cli(capsys, "sweep", path, "--pmin", "2", "--pmax", "3", "--jobs", "1")[0] == 0
     assert 3 in {sigma.field.characteristic for sigma in count_ramification_places[before:]}
     assert characteristics == []
+
+
+BIG = "7" * 3000  # its square has 6000 digits, past Python's default int-to-string limit of 4300
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="this Python has no int-to-string limit"
+)
+@pytest.mark.parametrize("command", ["check", "gen"])
+def test_a_result_past_the_int_string_limit_exits_2(tmp_path, capsys, command):
+    # lambda = BIG**2 for check; BIG**2 is the constant term of sigma1 = (BIG + t)**2 for gen
+    if command == "check":
+        doc = {"sigma1": ["0", "0", "0", BIG], "sigma2": ["0", "0", "0", "1"],
+               "omega": {"num": ["0", "1"], "den": ["1"], "weight": 1}}
+        argv = ["check", write_doc(tmp_path, "big.json", doc)]
+    else:
+        argv = ["gen", "multiplicative", "--m", "2", "--h", "1", "--sigma", json.dumps([BIG, "1"])]
+    limit = sys.get_int_max_str_digits()
+    expected = f"error: a result has more than {limit} digits, Python's int-to-string limit\n"
+    assert run_cli(capsys, *argv) == (2, "", expected)

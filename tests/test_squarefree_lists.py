@@ -11,7 +11,13 @@ word-size p; gcd_monic must equal gcd_by_euclid in both argument orders.
 
 No division by a constant is left in the F_p sweep: the in-place Euclid stops
 at a nonzero constant remainder instead of dividing by it, and Yun's loop
-skips a gcd of one.
+skips a gcd of one.  gcd_monic answers a nonzero constant argument with one
+before any Euclid step.
+
+Yun's loop takes every gcd from gcd_monic, so each Q gcd of two nonconstant
+polynomials is screened mod a prime exactly once, and it checks its result
+by SquarefreeDecomposition.recompose exactly when 0 < p <= deg a, the only
+inputs on which a multiplicity can reach p.
 """
 
 import builtins
@@ -27,9 +33,9 @@ from pathlib import Path
 import pytest
 
 from corrforms import cli, poly
-from corrforms.errors import CorrformsError
+from corrforms.errors import CorrformsError, WildInput
 from corrforms.field import GF, QQ
-from corrforms.poly import Polynomial, gcd_monic, squarefree_decompose
+from corrforms.poly import Polynomial, SquarefreeDecomposition, gcd_monic, squarefree_decompose
 
 from conftest import gcd_by_euclid, squarefree_by_polynomials
 
@@ -139,3 +145,66 @@ def test_fp_sweep_divides_by_no_constant(tmp_path, monkeypatch):
             assert cli.main(["sweep", str(path), "--pmin", "2", "--pmax", "1000"]) == 0
     assert len(divisions) > 1000 and len(euclid_steps) > 1000
     assert [n for n in divisions + euclid_steps if n <= 1] == []
+
+
+def test_each_qq_gcd_in_yun_is_screened_once(monkeypatch):
+    screen, gcd = poly._coprime_mod_prime, poly.gcd_monic
+    screens, nonconstant = [], []
+
+    def recorded_screen(a, b):
+        screens.append(1)
+        return screen(a, b)
+
+    def recorded_gcd(a, b):
+        g = gcd(a, b)
+        if a.degree > 0 and b.degree > 0:
+            nonconstant.append(1)
+        return g
+
+    monkeypatch.setattr(poly, "_coprime_mod_prime", recorded_screen)
+    monkeypatch.setattr(poly, "gcd_monic", recorded_gcd)
+    for f in products_of_powers(QQ, 29, 120)[1:]:
+        squarefree_decompose(f)
+    assert len(nonconstant) > 100
+    assert len(screens) == len(nonconstant)
+
+
+@pytest.mark.parametrize("field", [GF(p) for p in (2, 5, 101, 2**31 - 1)], ids=lambda f: str(f.characteristic))
+def test_recomposition_is_checked_exactly_where_yun_can_be_wrong(field, monkeypatch):
+    p = field.characteristic
+    recompose, calls = SquarefreeDecomposition.recompose, []
+
+    def recorded(self, field):
+        calls.append(1)
+        return recompose(self, field)
+
+    monkeypatch.setattr(SquarefreeDecomposition, "recompose", recorded)
+    checked = unchecked = 0
+    for f in products_of_powers(field, 31, 120)[1:]:
+        calls.clear()
+        with contextlib.suppress(WildInput):
+            squarefree_decompose(f)
+        expected = int(p <= f.degree and not f.derivative().is_zero)  # a vanishing derivative ends before
+        assert len(calls) == expected, f
+        checked += expected
+        unchecked += f.degree < p
+    assert unchecked >= 5 and (checked >= 50 if p <= 5 else checked == 0)
+    t = Polynomial.variable(GF(5))
+    with pytest.raises(WildInput, match=r"^squarefree recomposition failed in characteristic 5 \(multiplicity >= 5\?\)$"):
+        squarefree_decompose((t + 1) ** 5 * t)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.characteristic))
+def test_a_nonzero_constant_ends_gcd_monic_without_a_division(field, monkeypatch):
+    def refused(*args):
+        raise AssertionError("gcd_monic divided")
+
+    monkeypatch.setattr(Polynomial, "__divmod__", refused)
+    monkeypatch.setattr(poly, "_euclid_in_place", refused)
+    monkeypatch.setattr(poly, "_coprime_mod_prime", refused)
+    rng = random.Random(f"constant:{field.characteristic}")
+    one = Polynomial.one(field)
+    for _ in range(20):
+        c = Polynomial.constant(field, random_coeff(rng, field, True))
+        for f in (random_factor(rng, field, rng.randint(1, 6)), Polynomial.constant(field, 2), Polynomial.zero(field)):
+            assert gcd_monic(c, f) == one and gcd_monic(f, c) == one
