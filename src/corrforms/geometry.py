@@ -28,6 +28,7 @@ polynomial map is the test of tameness at infinity.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     InseparableMap,
     WildRamification,
 )
-from .poly import Polynomial, _inverse, compose_with_quotient, gcd_monic, squarefree_decompose
+from .poly import Polynomial, compose_with_quotient, gcd_monic, squarefree_decompose
 from .ratfunc import RationalFunction, _wronskian
 
 
@@ -136,7 +137,7 @@ class DifferentialForm:
             coeff = RationalFunction(coeff)
         if coeff.is_zero:
             raise ValueError("differential form coefficient must be nonzero")
-        if not isinstance(weight, int) or weight == 0:
+        if isinstance(weight, bool) or not isinstance(weight, int) or weight == 0:
             raise ValueError("weight must be a nonzero integer")
         self.coeff = coeff
         self.weight = weight
@@ -331,7 +332,7 @@ def _infinity_chart(a_poly, b_poly):
     # equal degrees, leading coefficients a, b: A/B - a/b = (b A - a B)/(b B)
     a, b = a_poly.coeffs[-1], b_poly.coeffs[-1]
     e_inf = deg_b - (a_poly._scaled(b) - b_poly._scaled(a)).degree
-    return e_inf, False, field.wrap(field.raw(a * _inverse(b, field.characteristic)))
+    return e_inf, False, field.scalar(Fraction(a, b))  # over F_p, b is a nonzero residue
 
 
 def ramification_places(sigma):

@@ -32,7 +32,7 @@ from .geometry import (
     conductor,
     divisor_of_form,
 )
-from .poly import Polynomial, _integer_parts, _inverse, _mul_raw, _normalized, compose_with_quotient
+from .poly import Polynomial, _integer_parts, _mul_raw, _normalized, compose_with_quotient
 from .ratfunc import RationalFunction, _wronskian
 
 
@@ -115,7 +115,7 @@ def semi_invariance_ratio(corr, omega):
     a, b, c, d = (_normalized(_integer_parts(h.coeffs)[0], p) for h in (p1, q2, p2, q1))
     if _mul_raw(a, b, p) != _mul_raw(c, d, p):
         return None
-    return field.wrap(field.raw(p1.coeffs[-1] * q2.coeffs[-1] * _inverse(p2.coeffs[-1] * q1.coeffs[-1], p)))
+    return field.scalar(Fraction(p1.coeffs[-1] * q2.coeffs[-1], p2.coeffs[-1] * q1.coeffs[-1]))
 
 
 class Weight1Solution(NamedTuple):
@@ -199,7 +199,7 @@ def _solve_flat(corr, nu):
         return None
     # over F_p each den is a product of pivots, nonzero residues, so p divides none
     coeffs = [field.scalar(Fraction(-r, den)) for r, den in reversed(ys)]
-    return coeffs, field.wrap(field.raw(Fraction(d1, d2) ** nu))
+    return coeffs, field.scalar(Fraction(d1**nu, d2**nu))
 
 
 def solve_weight1_flat(corr):
@@ -262,9 +262,9 @@ def find_primitive(corr):
 def genus_conductor_bound(g_x, g_y, d1, d2):
     """(3(2g_x - 2) - (2 d1 + d2)(2 g_y - 2)) / (d1 - d2), exact."""
     for name, g in (("g_x", g_x), ("g_y", g_y)):
-        if not isinstance(g, int) or g < 0:
+        if isinstance(g, bool) or not isinstance(g, int) or g < 0:
             raise ValueError(f"{name} must be a nonnegative integer")
-    if not (isinstance(d1, int) and isinstance(d2, int)) or d1 < 1 or d2 < 1:
+    if any(isinstance(d, bool) or not isinstance(d, int) for d in (d1, d2)) or d1 < 1 or d2 < 1:
         raise ValueError("degrees must be positive integers")
     _require_d1_above_d2(d1, d2)
     return Fraction(3 * (2 * g_x - 2) - (2 * d1 + d2) * (2 * g_y - 2), d1 - d2)

@@ -9,18 +9,18 @@ Storage contract: ``coeffs`` holds the field's raw values (see field.py),
 Fractions over Q and plain int residues in [0, p) over F_p.  Both fields
 multiply by Kronecker substitution on integers (``_mul_raw``): F_p on the
 residues, then ``% p``; Q on the numerators over one common denominator,
-then back to Fractions.  Composition runs Horner's rule on those integer
-lists (``_horner_raw``) and converts once, at the end.  Division is one
-schoolbook kernel for both fields, which also divides integer vectors
-exactly; ``monic`` and the callers in ratfunc.py and invariance.py invert
-raw scalars through ``_inverse``.  The public scalar FpElement appears
-only where a value leaves a polynomial: ``leading``, ``coefficient`` and
-evaluation.  Every Euclid mod a prime is one loop on residue lists reduced
-in place (``_euclid_in_place``): ``gcd_monic`` over F_p, and over Q its
-screen, which first tries to prove coprimality mod 2**31 - 1.  Yun's
-algorithm runs on monic residue lists over F_p and on primitive integer
-vectors over Q, takes every gcd from ``gcd_monic`` and checks its
-characteristic-p result with ``SquarefreeDecomposition.recompose``.
+then back to Fractions.  Every composition, of polynomials or rational
+functions, is one Horner's rule on those integer lists converted once, at
+the end (``compose_with_quotient``).  Division is one schoolbook kernel
+for both fields, which also divides integer vectors exactly; ``monic``
+and ratfunc.py invert raw scalars through ``_inverse``.  The public scalar
+FpElement appears only where a value leaves a polynomial: ``leading``,
+``coefficient`` and evaluation.  Every Euclid mod a prime is one loop on
+residue lists reduced in place (``_euclid_in_place``): ``gcd_monic`` over
+F_p, and over Q its screen, which first tries to prove coprimality mod
+2**31 - 1.  Yun's algorithm runs on monic residue lists over F_p and on
+primitive integer vectors over Q, takes every gcd from ``gcd_monic`` and
+checks its characteristic-p result with ``SquarefreeDecomposition.recompose``.
 """
 
 from __future__ import annotations
@@ -388,53 +388,32 @@ class Polynomial:
         return f"<{self.field!r}: {self}>"
 
 
-def _horner_raw(outers, num, den, order):
-    """Horner's rule on integers for each polynomial f in outers, at one inner quotient num/den.
+def compose_with_quotient(poly, num, den, order):
+    """den**order * poly(num/den), a polynomial, by Horner's rule on integers; needs order >= deg(poly).
 
-    Each f = F/d_F and the inner map are cleared to integers: over Q, for
-    num = N/d_N and den = D/d_D, the loop runs at (N d_D)/(D d_N); over F_p on
-    the residues, where every d is 1.  Returns the pairs (L, d_F) and the
-    scale s = (d_N d_D)**order, with den**order * f(num/den) = L/(d_F s).  The
-    powers of the inner denominator are shared by all of outers, and every
-    f needs order >= deg f.
+    poly = F/d_F and the inner map are cleared to integers: over Q, for
+    num = N/d_N and den = D/d_D, the loop runs at (N d_D)/(D d_N) and gives
+    L = d_F (d_N d_D)**order * den**order * poly(num/den), which becomes one
+    Fraction per coefficient; over F_p it runs on the residues (every d is 1).
     """
-    p = num.field.characteristic
+    poly._check(num)  # every caller passes num and den over one field
+    p = poly.field.characteristic
+    cs, df = _integer_parts(poly.coeffs)
+    if len(cs) > order + 1:
+        raise ValueError("order must be at least deg(poly)")
     (ns, dn), (ds, dd) = _integer_parts(num.coeffs), _integer_parts(den.coeffs)
     ns, ds = [c * dd for c in ns], [c * dn for c in ds]
-    dpows = [[1]]
-
-    def power(k):
-        while len(dpows) <= k:
-            dpows.append(_mul_raw(dpows[-1], ds, p))
-        return dpows[k]
-
-    out = []
-    for f in outers:
-        f._check(num)  # every caller passes num and den over one field
-        cs, df = _integer_parts(f.coeffs)
-        if len(cs) > order + 1:
-            raise ValueError("order must be at least deg(poly)")
-        acc = []
-        for k, c in enumerate(reversed(cs)):
-            acc = [x + c * y for x, y in zip_longest(_mul_raw(acc, ns, p), power(k), fillvalue=0)]
-            if p:
-                acc = [x % p for x in acc]
-        if acc and len(cs) <= order:
-            acc = _mul_raw(acc, power(order + 1 - len(cs)), p)
-        out.append((acc, df))
-    return out, (dn * dd) ** order
-
-
-def compose_with_quotient(poly, num, den, order):
-    """den**order * poly(num/den) by Horner's rule on integers (_horner_raw), a polynomial.
-
-    Needs order >= deg(poly).  Over Q each output coefficient is one
-    Fraction; over F_p the residues are kept.
-    """
-    ((acc, dp),), scale = _horner_raw((poly,), num, den, order)
-    if not poly.field.characteristic:
-        acc = [Fraction(c, dp * scale) for c in acc]
-    return Polynomial._make(poly.field, acc)
+    dpows = [[1]]  # the powers of D that the loop and the final padding use
+    for _ in range(max(len(cs) - 1, order + 1 - len(cs))):
+        dpows.append(_mul_raw(dpows[-1], ds, p))
+    acc = []
+    for k, c in enumerate(reversed(cs)):
+        acc = [x + c * y for x, y in zip_longest(_mul_raw(acc, ns, p), dpows[k], fillvalue=0)]
+        if p:
+            acc = [x % p for x in acc]
+    acc = _mul_raw(acc, dpows[order + 1 - len(cs)], p)
+    scale = df * (dn * dd) ** order  # 1 over F_p
+    return Polynomial._make(poly.field, acc if p else [Fraction(c, scale) for c in acc])
 
 
 _SCREEN_PRIME = 2**31 - 1  # the largest prime below GF's cap
@@ -542,9 +521,10 @@ def squarefree_decompose(a):
     these lists.  Over Q, c and d are always divided by the same gcd, so they
     keep one common scale against the monic loop, and a primitive divisor of
     an integer vector leaves an integral quotient (Gauss's lemma).  Each gcd
-    is one gcd_monic call on the lists taken to raw values, and its monic
-    answer cleared to integers is primitive.  A gcd of degree 0 is one, and
-    dividing by it is skipped.
+    is one gcd_monic call on the lists as raw values: the residue lists as
+    they are, the integer vectors as Fractions, whose monic answer cleared to
+    integers is primitive.  A gcd of degree 0 is one, and dividing by it is
+    skipped.
 
     In characteristic p an input with vanishing derivative (after removing
     the unit) is rejected with WildInput instead of extracting p-th roots.
@@ -557,11 +537,11 @@ def squarefree_decompose(a):
     unit = a.leading
     if a.degree == 0:
         return SquarefreeDecomposition(unit, ())
-    p, raw = field.characteristic, field.raw
+    p = field.characteristic
 
     def gcd(x, y):
-        g = gcd_monic(*(Polynomial._make(field, [raw(c) for c in cs]) for cs in (x, y)))
-        return _integer_parts(g.coeffs)[0]
+        g = gcd_monic(*(Polynomial._make(field, cs if p else [Fraction(c) for c in cs]) for cs in (x, y)))
+        return g.coeffs if p else _integer_parts(g.coeffs)[0]
 
     def reduced(cs):
         cs = [c % p for c in cs] if p else cs

@@ -9,9 +9,7 @@ reduced once gcd(a, d) and gcd(c, b) are cancelled.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import Polynomial, _horner_raw, _inverse, gcd_monic
+from .poly import Polynomial, _inverse, compose_with_quotient, gcd_monic
 
 
 def _wronskian(body):
@@ -168,26 +166,19 @@ class RationalFunction:
     def compose(self, inner):
         """self(inner(t)) for a RationalFunction inner.
 
-        One Horner pass on integers (_horner_raw) composes num and den up to
-        one common scale, and each output coefficient is then built once, as
-        a Fraction taken to the field's raw value, with the denominator made
-        monic.
+        num and den are each composed by compose_with_quotient at the one
+        order max(deg num, deg den), so the powers of inner.den cancel in
+        their quotient; _coprime then makes the denominator monic.
         """
         if not isinstance(inner, RationalFunction):
             inner = RationalFunction(inner)
-        order = max(len(self.num.coeffs), len(self.den.coeffs)) - 1
-        ((n, dn), (d, dd)), _ = _horner_raw((self.num, self.den), inner.num, inner.den, order)
-        while d and not d[-1]:
-            d.pop()
-        if not d:
+        order = max(self.num.degree, self.den.degree)
+        n, d = (compose_with_quotient(f, inner.num, inner.den, order) for f in (self.num, self.den))
+        if d.is_zero:
             raise ZeroDivisionError("composition denominator vanished")
         # n, d coprime: mod a factor of inner.den one is c * inner.num**order, c != 0,
         # and any other common factor gives self.num and self.den a common root inner(x)
-        # self(inner) = (n dd)/(d dn); over F_p, dn = dd = 1 and the lead is a nonzero residue
-        field = self.field
-        raw, lead = field.raw, d[-1] * dn
-        n, d = [raw(Fraction(c * dd, lead)) for c in n], [raw(Fraction(c * dn, lead)) for c in d]
-        return _coprime(Polynomial._make(field, n), Polynomial._make(field, d))
+        return _coprime(n, d)
 
     def __call__(self, x):
         dv = self.den(x)

@@ -697,6 +697,7 @@ CLI_OUTPUT = Path(__file__).resolve().parent / "cli_output"
         ("detect", CHEB_SHIFTED, "detect_cheb_shifted.txt"),
         ("check", CHEB_SHIFTED, "check_cheb_shifted.txt"),
         ("check", RATIONAL_MOBIUS_PAIR, "check_rational_mobius_pair.txt"),
+        ("check", {**RATIONAL_MOBIUS_PAIR, "field": {"Fp": 7}}, "check_rational_mobius_pair_gf7.txt"),
     ],
 )
 def test_mobius_documents_print_their_pinned_output(tmp_path, capsys, command, doc, name):

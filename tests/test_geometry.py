@@ -207,6 +207,12 @@ def test_pullback_functoriality_random():
         assert lhs.coeff == rhs.coeff
 
 
+@pytest.mark.parametrize("weight", [True, False])
+def test_form_weight_refuses_bools(weight):
+    with pytest.raises(ValueError, match="^weight must be a nonzero integer$"):
+        DifferentialForm(rf(qp(1), qp(0, 1)), weight)
+
+
 def test_pullback_rejects_inseparable():
     with pytest.raises(InseparableMap):
         pullback(RationalMap(fp(5, 0, 0, 0, 0, 0, 1)), w1(fp(5, 1), fp(5, 0, 1)))

@@ -339,6 +339,20 @@ def test_genus_conductor_bound_validation():
         genus_conductor_bound(0, 0, 3, 0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((True, False, 3, True), "g_x must be a nonnegative integer"),
+        ((0, True, 3, 1), "g_y must be a nonnegative integer"),
+        ((0, 0, 3, True), "degrees must be positive integers"),
+        ((0, 0, True, 1), "degrees must be positive integers"),
+    ],
+)
+def test_genus_conductor_bound_refuses_bools(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        genus_conductor_bound(*args)
+
+
 def test_genus_zero_bound_identity():
     # over the projective line the closed formula matches the ramification
     # version (4 d1 + 2 d2 - 6) / (d1 - d2) for every degree pair

@@ -17,7 +17,8 @@ before any Euclid step.
 Yun's loop takes every gcd from gcd_monic, so each Q gcd of two nonconstant
 polynomials is screened mod a prime exactly once, and it checks its result
 by SquarefreeDecomposition.recompose exactly when 0 < p <= deg a, the only
-inputs on which a multiplicity can reach p.
+inputs on which a multiplicity can reach p.  Over F_p it hands gcd_monic its
+residue lists as they are, with no PrimeField.raw call.
 """
 
 import builtins
@@ -208,3 +209,31 @@ def test_a_nonzero_constant_ends_gcd_monic_without_a_division(field, monkeypatch
         c = Polynomial.constant(field, random_coeff(rng, field, True))
         for f in (random_factor(rng, field, rng.randint(1, 6)), Polynomial.constant(field, 2), Polynomial.zero(field)):
             assert gcd_monic(c, f) == one and gcd_monic(f, c) == one
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_fp_yun_takes_no_residue_to_raw(p, monkeypatch):
+    # degree 34, multiplicities 1..4 on coprime parts: no gcd is a constant, whose
+    # answer Polynomial.one builds through raw, and p > deg a skips the recomposition
+    field = GF(p)
+    rng = random.Random(f"raw:{p}")
+    t = Polynomial.variable(field)
+    roots = iter(rng.sample(range(p), 14))
+    a = Polynomial.constant(field, 7)
+    for k, n in ((1, 4), (2, 3), (3, 4), (4, 3)):
+        for _ in range(n):
+            a = a * (t - next(roots)) ** k
+    assert a.degree == 34
+    expected = squarefree_by_polynomials(a)
+    calls = []
+    raw = type(field).raw
+
+    def counted(self, value):
+        calls.append(value)
+        return raw(self, value)
+
+    monkeypatch.setattr(type(field), "raw", counted)
+    dec = squarefree_decompose(a)
+    assert calls == []
+    assert (dec.unit, dec.parts) == (expected.unit, expected.parts)
+    assert [k for _, k in dec.parts] == [1, 2, 3, 4]
