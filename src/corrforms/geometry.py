@@ -278,13 +278,24 @@ class Divisor:
         return f"<Divisor {self}>"
 
 
-def pullback(sigma, omega):
-    """sigma^* omega = (coeff o sigma) * (sigma')^weight (dt)^weight."""
-    ds = sigma.body.derivative()
-    if ds.is_zero:
+def _pulled_back(sigma, omega):
+    """(P, Q), unreduced, with sigma^* omega = (P/Q) (dt)^nu for sigma = A/B and omega = (f/g) (dt)^nu:
+    P = B^n f(A/B) W^nu and Q = B^n g(A/B) B^(2 nu), n = max(deg f, deg g), for the Wronskian W;
+    W and B^2 swap if nu < 0.  Raises InseparableMap when W = 0."""
+    f, g, nu = omega.coeff.num, omega.coeff.den, omega.weight
+    n = max(f.degree, g.degree)
+    a, b = sigma.body.num, sigma.body.den
+    top, bottom = _wronskian(sigma.body), b * b
+    if top.is_zero:
         raise InseparableMap(f"{sigma} is inseparable")
-    comp = omega.coeff.compose(sigma.body)
-    return DifferentialForm(comp * ds**omega.weight, omega.weight)
+    if nu < 0:
+        top, bottom, nu = bottom, top, -nu
+    return compose_with_quotient(f, a, b, n) * top**nu, compose_with_quotient(g, a, b, n) * bottom**nu
+
+
+def pullback(sigma, omega):
+    """sigma^* omega = (coeff o sigma) * (sigma')^weight (dt)^weight: `_pulled_back`, reduced once."""
+    return DifferentialForm(RationalFunction(*_pulled_back(sigma, omega)), omega.weight)
 
 
 def divisor_of_form(omega):

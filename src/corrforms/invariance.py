@@ -28,12 +28,13 @@ from .errors import (
 from .geometry import (
     DifferentialForm,
     RationalMap,
+    _pulled_back,
     _ramification_degree,
     conductor,
     divisor_of_form,
 )
-from .poly import Polynomial, _integer_parts, _mul_raw, _normalized, compose_with_quotient
-from .ratfunc import RationalFunction, _wronskian
+from .poly import Polynomial, _integer_parts, _mul_raw, _normalized
+from .ratfunc import RationalFunction
 
 
 class Correspondence:
@@ -83,19 +84,6 @@ def flat_form_weight2(field, s, q):
     s, q = field.scalar(s), field.scalar(q)
     den = Polynomial(field, [q, -s, field.one()])
     return DifferentialForm(RationalFunction(Polynomial.one(field), den), 2)
-
-
-def _pulled_back(sigma, omega):
-    """(P, Q), unreduced, with sigma^* omega = (P/Q) (dt)^nu for sigma = A/B and omega = (f/g) (dt)^nu:
-    P = B^n f(A/B) W^nu and Q = B^n g(A/B) B^(2 nu), n = max(deg f, deg g), for the Wronskian W;
-    W and B^2 swap if nu < 0."""
-    f, g, nu = omega.coeff.num, omega.coeff.den, omega.weight
-    n = max(f.degree, g.degree)
-    a, b = sigma.body.num, sigma.body.den
-    top, bottom = _wronskian(sigma.body), b * b
-    if nu < 0:
-        top, bottom, nu = bottom, top, -nu
-    return compose_with_quotient(f, a, b, n) * top**nu, compose_with_quotient(g, a, b, n) * bottom**nu
 
 
 def semi_invariance_ratio(corr, omega):

@@ -337,7 +337,7 @@ class Polynomial:
 
     def compose(self, inner):
         """self(inner) for a polynomial inner."""
-        return compose_with_quotient(self, inner, Polynomial.one(self.field), self.degree)
+        return compose_with_quotient(self, inner, Polynomial.one(self.field), max(self.degree, 0))
 
     def derivative(self):
         # in characteristic p the i*c factor reduces mod p, so t^p |-> 0

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from corrforms import geometry, invariance
-from corrforms.errors import FieldMismatch, WildInput
+from corrforms.errors import FieldMismatch, InseparableMap, WildInput
 from corrforms.field import QQ, GF, FpElement
 from corrforms.poly import Polynomial, SquarefreeDecomposition, _inverse, gcd_monic
 from corrforms.ratfunc import RationalFunction
@@ -80,6 +80,17 @@ def horner_by_polynomials(poly, num, den, order):
     for _ in range(order - n):
         acc = acc * den
     return acc
+
+
+def pullback_by_ratfunc(sigma, omega):
+    """sigma^* omega through RationalFunction algebra: sigma' from `derivative`,
+    then `compose`, `**` and a cross-cancelling `*`, as pullback was written
+    before it reduced the pair of geometry._pulled_back once."""
+    ds = sigma.body.derivative()
+    if ds.is_zero:
+        raise InseparableMap(f"{sigma} is inseparable")
+    comp = omega.coeff.compose(sigma.body)
+    return geometry.DifferentialForm(comp * ds**omega.weight, omega.weight)
 
 
 def gcd_by_euclid(a, b):

@@ -698,6 +698,10 @@ CLI_OUTPUT = Path(__file__).resolve().parent / "cli_output"
         ("check", CHEB_SHIFTED, "check_cheb_shifted.txt"),
         ("check", RATIONAL_MOBIUS_PAIR, "check_rational_mobius_pair.txt"),
         ("check", {**RATIONAL_MOBIUS_PAIR, "field": {"Fp": 7}}, "check_rational_mobius_pair_gf7.txt"),
+        # weight -2: the pullback swaps the Wronskian and B^2
+        ("check",
+         {**RATIONAL_MOBIUS_PAIR, "omega": {"num": ["4", "-12", "13", "-6", "1"], "den": ["1"], "weight": -2}},
+         "check_rational_mobius_pair_weight_minus2.txt"),
     ],
 )
 def test_mobius_documents_print_their_pinned_output(tmp_path, capsys, command, doc, name):

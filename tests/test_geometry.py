@@ -8,11 +8,14 @@ e = k + 1 against a Taylor refinement written here (for p = 0, for
 p > deg sigma, and for p = 2, 3, 5, 7 <= deg sigma, where a map is either
 refused or has that index everywhere), deg R = deg W + e_inf - 1 against
 the ramification divisor, the local order identity at every point of
-the relevant supports, and Divisor's one-pass canonical form against the
-two-stage refinement it replaced (conftest.divisor_by_refinement).
+the relevant supports, Divisor's one-pass canonical form against the
+two-stage refinement it replaced (conftest.divisor_by_refinement), and
+pullback against the RationalFunction algebra it replaced
+(conftest.pullback_by_ratfunc).
 """
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -41,7 +44,15 @@ from corrforms.geometry import (
 from corrforms.poly import Polynomial, gcd_monic, squarefree_decompose
 from corrforms.ratfunc import RationalFunction, _wronskian
 
-from conftest import divisor_by_refinement, fp, qp, random_poly, random_separable_poly, rf
+from conftest import (
+    divisor_by_refinement,
+    fp,
+    pullback_by_ratfunc,
+    qp,
+    random_poly,
+    random_separable_poly,
+    rf,
+)
 
 
 def w1(num, den):
@@ -216,6 +227,66 @@ def test_form_weight_refuses_bools(weight):
 def test_pullback_rejects_inseparable():
     with pytest.raises(InseparableMap):
         pullback(RationalMap(fp(5, 0, 0, 0, 0, 0, 1)), w1(fp(5, 1), fp(5, 0, 1)))
+
+
+PULLBACK_WEIGHTS = (-2, -1, 1, 2, 3)
+
+
+def random_map(rng, field, rational):
+    """A random polynomial or rational map; over F_p, p < 100, one in four is composed with t^p."""
+    p = field.characteristic
+    while True:
+        degree = rng.randint(1, 4)
+        body = rf(random_poly(rng, field, degree))
+        if rational:
+            body = body / rf(random_poly(rng, field, rng.randint(1, degree)))
+        if 0 < p < 100 and rng.random() < 0.25:
+            body = body.compose(rf(Polynomial.variable(field) ** p))  # inseparable
+        if not body.is_constant:
+            return RationalMap(body)
+
+
+@pytest.mark.parametrize("p", [0, 7, 2147483647])
+def test_pullback_matches_the_ratfunc_oracle(p):
+    # pullback reduces the pair of _pulled_back once; the oracle builds
+    # (f o sigma) * (sigma')^nu with RationalFunction algebra
+    field = GF(p) if p else QQ
+    rng = random.Random(2700 + p % 1000)
+    seen = Counter()
+    for _ in range(60):
+        rational = rng.random() < 0.5
+        sigma = random_map(rng, field, rational)
+        for nu in PULLBACK_WEIGHTS:
+            f, g = (random_poly(rng, field, rng.randint(0, 2)) for _ in range(2))
+            omega = DifferentialForm(rf(f, g), nu)
+            try:
+                expected = pullback_by_ratfunc(sigma, omega)
+            except InseparableMap as exc:
+                with pytest.raises(InseparableMap, match=f"^{re.escape(str(exc))}$"):
+                    pullback(sigma, omega)
+                seen["inseparable"] += 1
+                continue
+            got = pullback(sigma, omega)
+            assert got == expected and str(got) == str(expected), (sigma, omega)
+            seen[rational, nu] += 1
+    assert all(seen[rational, nu] >= 5 for rational in (False, True) for nu in PULLBACK_WEIGHTS), seen
+    assert (seen["inseparable"] > 0) == (p == 7)
+
+
+def test_pullback_takes_the_wronskian_from_geometry(monkeypatch):
+    # sigma' enters the pullback only through geometry._wronskian, so W t
+    # multiplies every pulled-back coefficient by t^nu
+    rng = random.Random(2711)
+    t = rf(qp(0, 1))
+    cases = []
+    for rational in (False, True):
+        for nu in PULLBACK_WEIGHTS:
+            sigma = random_map(rng, QQ, rational)
+            omega = DifferentialForm(rf(random_poly(rng, QQ, 2), random_poly(rng, QQ, 1)), nu)
+            cases.append((sigma, omega, pullback(sigma, omega)))
+    monkeypatch.setattr(geometry, "_wronskian", lambda body: _wronskian(body) * Polynomial.variable(body.field))
+    for sigma, omega, before in cases:
+        assert pullback(sigma, omega).coeff == before.coeff * t**omega.weight, (sigma, omega)
 
 
 # ----------------------------------------------------------------------- divisors

@@ -21,9 +21,19 @@ lambda the ratio of the two leading coefficients, and hands every coefficient
 equation to linsolve.  It does not use the triangular argument.  It runs on
 seeded Q pairs with denominators and on the detect documents of one seed of
 the benchmark's cli_qq generator.
+
+A sympy reference for check over Q, in sympy's field of fractions Q(t): it
+conjugates each map by the document's Mobius map phi, pulls omega back as
+f(sigma)/g(sigma) (sigma')^nu with sigma' by the quotient rule, takes lambda
+from the leading coefficients and decides semi-invariance as L - lambda R == 0.
+The divisor and the conductor come from sqf_list and the degrees at infinity,
+and the bound from Riemann-Hurwitz, deg R_sigma = 2 deg sigma - 2.  Its JSON
+must equal `corrforms check` stdout on every document of the benchmark's
+cli_qq pool, and Theorem 3 is checked on every weight-1 hit of that pool.
 """
 
 import importlib
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -31,8 +41,10 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.fields import field as fraction_field
 from sympy.polys.rings import ring
 
+from corrforms.cli import main
 from corrforms.field import GF, QQ
 from corrforms.invariance import (
     Correspondence,
@@ -187,3 +199,101 @@ def test_detect_matches_linsolve_on_benchmark_documents(monkeypatch):
         for doc in docs
     ]
     assert len(found) == 216 and {0, 1, 2} <= set(found)
+
+
+@pytest.fixture
+def gen(monkeypatch):
+    """perfbench/gen.py, the benchmark's document generator."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("gen")
+
+
+QT, T = fraction_field("t", sympy.QQ)
+
+
+def sympy_scalar(text):
+    q = Fraction(text)
+    return sympy.QQ(q.numerator, q.denominator)
+
+
+def sympy_eval(coeffs, x):
+    """The polynomial with ascending coefficient strings coeffs, at x in Q(t)."""
+    acc = QT(0)
+    for c in reversed(coeffs):
+        acc = acc * x + sympy_scalar(c)
+    return acc
+
+
+def quotient_rule(x):
+    """x' for x = n/d in Q(t), as (n' d - n d')/d^2."""
+    n, d = x.numer, x.denom
+    t = n.ring.gens[0]
+    return QT(n.diff(t) * d - n * d.diff(t)) / QT(d * d)
+
+
+def leading(x):
+    return x.numer.LC / x.denom.LC
+
+
+def fraction_str(q):
+    return str(Fraction(int(q.numerator), int(q.denominator)))
+
+
+def sympy_check(doc):
+    """The stdout of `corrforms check` on a Q document with an embedded form."""
+    maps = [sympy_eval(doc[key], T) for key in ("sigma1", "sigma2")]
+    if "mobius" in doc:  # phi o sigma o phi^{-1} for phi = (a t + b)/(c t + d)
+        a, b, c, d = (sympy_scalar(doc["mobius"][k]) for k in "abcd")
+        back = (d * T - b) / (a - c * T)
+        maps = [(a * s + b) / (c * s + d) for s in (sympy_eval(doc[key], back) for key in ("sigma1", "sigma2"))]
+    form, nu = doc["omega"], doc["omega"]["weight"]
+    left, right = (sympy_eval(form["num"], s) / sympy_eval(form["den"], s) * quotient_rule(s) ** nu for s in maps)
+    lam = leading(left) / leading(right)
+    semi = left - lam * right == 0
+    coeff = sympy_eval(form["num"], T) / sympy_eval(form["den"], T)
+    affine = sorted(
+        [(g, k) for g, k in coeff.numer.sqf_list()[1]] + [(g, -k) for g, k in coeff.denom.sqf_list()[1]],
+        key=lambda gk: gk[1],
+    )
+    at_infinity = coeff.denom.degree() - coeff.numer.degree() - 2 * nu
+    cond = sum(g.degree() for g, _ in affine) + (at_infinity != 0)
+    d1, d2 = (max(s.numer.degree(), s.denom.degree()) for s in maps)
+    bound = Fraction(2 * (2 * d1 - 2) + (2 * d2 - 2), d1 - d2) if semi and d1 > d2 else None
+    out = {
+        "semi_invariant": semi,
+        "lambda": fraction_str(lam) if semi else None,
+        "weight": nu,
+        "divisor": {
+            "affine": [
+                {"poly": [fraction_str(g.get((i,), sympy.QQ.zero)) for i in range(g.degree() + 1)], "mult": k}
+                for g, k in affine
+            ],
+            "infinity": at_infinity,
+        },
+        "conductor": cond,
+        "bound": None if bound is None else str(bound),
+        "holds": None if bound is None else cond <= bound,
+    }
+    return json.dumps(out) + "\n"
+
+
+def test_check_matches_sympy_on_the_benchmark_pool(gen, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    verdicts = []
+    for family, doc in gen.cli_pool():
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (0, sympy_check(doc), ""), (family, doc)
+        verdicts.append(json.loads(out)["semi_invariant"])
+    assert len(verdicts) == 288 and {True, False} <= set(verdicts)
+
+
+def test_theorem3_on_the_benchmark_pool(gen):
+    outcomes = [
+        theorem3_holds(document_from_json(doc).corr)
+        for family, doc in gen.cli_pool()
+        if "detect" in gen.cli_commands(family)
+    ]
+    assert len(outcomes) == 216 and False not in outcomes
+    assert outcomes.count(True) == 72

@@ -107,6 +107,14 @@ def test_evaluation_and_composition():
     assert g(FpElement(4, 5)) == FpElement(0, 5)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_zero_composes_to_zero(field):
+    # 0 o g = 0 for every g; the zero polynomial has degree -inf, not a valid order
+    t, zero = Polynomial.variable(field), Polynomial.zero(field)
+    for inner in (t, t**2 + 3, Polynomial.one(field), zero):
+        assert zero.compose(inner).is_zero
+    assert Polynomial.constant(field, 4).compose(zero) == Polynomial.constant(field, 4)
+
 def test_derivative_and_hasse():
     t = qp(0, 1)
     f = t**4 + 3 * t**2 + 1
