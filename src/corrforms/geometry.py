@@ -36,7 +36,7 @@ from .errors import (
     InseparableMap,
     WildRamification,
 )
-from .poly import Polynomial, compose_with_quotient, gcd_monic, squarefree_decompose
+from .poly import Polynomial, _compose_over, gcd_monic, squarefree_decompose
 from .ratfunc import RationalFunction, _wronskian
 
 
@@ -279,18 +279,21 @@ class Divisor:
 
 
 def _pulled_back(sigma, omega):
-    """(P, Q), unreduced, with sigma^* omega = (P/Q) (dt)^nu for sigma = A/B and omega = (f/g) (dt)^nu:
-    P = B^n f(A/B) W^nu and Q = B^n g(A/B) B^(2 nu), n = max(deg f, deg g), for the Wronskian W;
-    W and B^2 swap if nu < 0.  Raises InseparableMap when W = 0."""
+    """(P, Q), unreduced, with sigma^* omega = (P/Q) (dt)^nu for sigma = A/B and omega = (f/g) (dt)^nu.
+
+    With F = B^deg f f(A/B), G = B^deg g g(A/B) and the Wronskian W, it is F W^nu B^k / G for
+    k = deg g - deg f - 2 nu.  One composition pads F with B^k when k > 0 and G with B^-k when
+    k < 0; W^|nu| goes to P when nu > 0 and to Q when nu < 0.  F and G are prime to B, so no
+    common power of B is left.  Raises InseparableMap when W = 0.
+    """
     f, g, nu = omega.coeff.num, omega.coeff.den, omega.weight
-    n = max(f.degree, g.degree)
-    a, b = sigma.body.num, sigma.body.den
-    top, bottom = _wronskian(sigma.body), b * b
-    if top.is_zero:
+    w = _wronskian(sigma.body)
+    if w.is_zero:
         raise InseparableMap(f"{sigma} is inseparable")
-    if nu < 0:
-        top, bottom, nu = bottom, top, -nu
-    return compose_with_quotient(f, a, b, n) * top**nu, compose_with_quotient(g, a, b, n) * bottom**nu
+    k = g.degree - f.degree - 2 * nu
+    pairs = [(f, f.degree + max(k, 0)), (g, g.degree + max(-k, 0))]
+    p, q = _compose_over(sigma.body.num, sigma.body.den, pairs)
+    return (p * w**nu, q) if nu > 0 else (p, q * w**-nu)
 
 
 def pullback(sigma, omega):
@@ -454,8 +457,8 @@ def _pullback_divisor(sigma, places, div):
     a_poly, b_poly = sigma.body.num, sigma.body.den
     comps = []
     inf_mult = 0
-    for h_poly, n in div.affine:
-        pre = compose_with_quotient(h_poly, a_poly, b_poly, h_poly.degree)
+    pres = _compose_over(a_poly, b_poly, [(h_poly, h_poly.degree) for h_poly, _ in div.affine])
+    for (h_poly, n), pre in zip(div.affine, pres):
         for cluster, k in squarefree_decompose(pre).parts:
             comps.append((cluster, n * k))
         if not places.image_infinite and not h_poly(places.image_value):

@@ -11,16 +11,18 @@ multiply by Kronecker substitution on integers (``_mul_raw``): F_p on the
 residues, then ``% p``; Q on the numerators over one common denominator,
 then back to Fractions.  Every composition, of polynomials or rational
 functions, is one Horner's rule on those integer lists converted once, at
-the end (``compose_with_quotient``).  Division is one schoolbook kernel
-for both fields, which also divides integer vectors exactly; ``monic``
-and ratfunc.py invert raw scalars through ``_inverse``.  The public scalar
-FpElement appears only where a value leaves a polynomial: ``leading``,
-``coefficient`` and evaluation.  Every Euclid mod a prime is one loop on
-residue lists reduced in place (``_euclid_in_place``): ``gcd_monic`` over
-F_p, and over Q its screen, which first tries to prove coprimality mod
-2**31 - 1.  Yun's algorithm runs on monic residue lists over F_p and on
-primitive integer vectors over Q, takes every gcd from ``gcd_monic`` and
-checks its characteristic-p result with ``SquarefreeDecomposition.recompose``.
+the end (``_compose_over``, which builds the powers of the inner
+denominator once for all outer polynomials).  Division is one schoolbook
+kernel for both fields, which also divides integer vectors exactly;
+``monic`` and ratfunc.py invert raw scalars through ``_inverse``.  The
+public scalar FpElement appears only where a value leaves a polynomial:
+``leading``, ``coefficient`` and evaluation.  Every Euclid mod a prime is
+one loop on residue lists reduced in place (``_euclid_in_place``):
+``gcd_monic`` over F_p, and over Q its screen, which first tries to prove
+coprimality mod 2**31 - 1.  Yun's algorithm runs on monic residue lists
+over F_p and on primitive integer vectors over Q, takes every gcd from
+``gcd_monic`` and checks its characteristic-p result with
+``SquarefreeDecomposition.recompose``.
 """
 
 from __future__ import annotations
@@ -389,31 +391,41 @@ class Polynomial:
 
 
 def compose_with_quotient(poly, num, den, order):
-    """den**order * poly(num/den), a polynomial, by Horner's rule on integers; needs order >= deg(poly).
+    """den**order * poly(num/den), a polynomial; needs order >= deg(poly).  The one-pair case of _compose_over."""
+    return _compose_over(num, den, [(poly, order)])[0]
 
-    poly = F/d_F and the inner map are cleared to integers: over Q, for
+
+def _compose_over(num, den, pairs):
+    """[den**order * poly(num/den) for poly, order in pairs], by Horner's rule on integers; needs order >= deg(poly).
+
+    Each poly = F/d_F and the inner map are cleared to integers: over Q, for
     num = N/d_N and den = D/d_D, the loop runs at (N d_D)/(D d_N) and gives
     L = d_F (d_N d_D)**order * den**order * poly(num/den), which becomes one
     Fraction per coefficient; over F_p it runs on the residues (every d is 1).
+    The powers of D are built once, for every pair.
     """
-    poly._check(num)  # every caller passes num and den over one field
-    p = poly.field.characteristic
-    cs, df = _integer_parts(poly.coeffs)
-    if len(cs) > order + 1:
-        raise ValueError("order must be at least deg(poly)")
+    field = num.field
+    p = field.characteristic
     (ns, dn), (ds, dd) = _integer_parts(num.coeffs), _integer_parts(den.coeffs)
     ns, ds = [c * dd for c in ns], [c * dn for c in ds]
-    dpows = [[1]]  # the powers of D that the loop and the final padding use
-    for _ in range(max(len(cs) - 1, order + 1 - len(cs))):
-        dpows.append(_mul_raw(dpows[-1], ds, p))
-    acc = []
-    for k, c in enumerate(reversed(cs)):
-        acc = [x + c * y for x, y in zip_longest(_mul_raw(acc, ns, p), dpows[k], fillvalue=0)]
-        if p:
-            acc = [x % p for x in acc]
-    acc = _mul_raw(acc, dpows[order + 1 - len(cs)], p)
-    scale = df * (dn * dd) ** order  # 1 over F_p
-    return Polynomial._make(poly.field, acc if p else [Fraction(c, scale) for c in acc])
+    dpows = [[1]]  # the powers of D that the loops and the final paddings use
+    out = []
+    for poly, order in pairs:
+        poly._check(num)  # every caller passes num and den over one field
+        cs, df = _integer_parts(poly.coeffs)
+        if len(cs) > order + 1:
+            raise ValueError("order must be at least deg(poly)")
+        while len(dpows) <= max(len(cs) - 1, order + 1 - len(cs)):
+            dpows.append(_mul_raw(dpows[-1], ds, p))
+        acc = []
+        for k, c in enumerate(reversed(cs)):
+            acc = [x + c * y for x, y in zip_longest(_mul_raw(acc, ns, p), dpows[k], fillvalue=0)]
+            if p:
+                acc = [x % p for x in acc]
+        acc = _mul_raw(acc, dpows[order + 1 - len(cs)], p)
+        scale = df * (dn * dd) ** order  # 1 over F_p
+        out.append(Polynomial._make(field, acc if p else [Fraction(c, scale) for c in acc]))
+    return out
 
 
 _SCREEN_PRIME = 2**31 - 1  # the largest prime below GF's cap

@@ -9,7 +9,7 @@ reduced once gcd(a, d) and gcd(c, b) are cancelled.
 
 from __future__ import annotations
 
-from .poly import Polynomial, _inverse, compose_with_quotient, gcd_monic
+from .poly import Polynomial, _compose_over, _inverse, gcd_monic
 
 
 def _wronskian(body):
@@ -166,14 +166,14 @@ class RationalFunction:
     def compose(self, inner):
         """self(inner(t)) for a RationalFunction inner.
 
-        num and den are each composed by compose_with_quotient at the one
-        order max(deg num, deg den), so the powers of inner.den cancel in
-        their quotient; _coprime then makes the denominator monic.
+        num and den are composed by one _compose_over call at the one order
+        max(deg num, deg den), so the powers of inner.den are built once and
+        cancel in their quotient; _coprime then makes the denominator monic.
         """
         if not isinstance(inner, RationalFunction):
             inner = RationalFunction(inner)
         order = max(self.num.degree, self.den.degree)
-        n, d = (compose_with_quotient(f, inner.num, inner.den, order) for f in (self.num, self.den))
+        n, d = _compose_over(inner.num, inner.den, [(self.num, order), (self.den, order)])
         if d.is_zero:
             raise ZeroDivisionError("composition denominator vanished")
         # n, d coprime: mod a factor of inner.den one is c * inner.num**order, c != 0,

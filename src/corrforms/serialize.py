@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InputFormatError
+from .errors import InputFormatError, NotPLocalUnit
 from .field import GF, QQ, FpElement
 from .geometry import DifferentialForm, MobiusTransform, RationalMap, mobius_conjugate
 from .invariance import Correspondence
@@ -41,7 +41,7 @@ def parse_scalar(field, value, where):
         raise InputFormatError(f"{where}: expected a coefficient string, got {value!r}")
     try:
         return field.scalar(value if isinstance(value, int) else value.strip())
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, NotPLocalUnit) as exc:
         raise InputFormatError(f"{where}: {exc}") from None
 
 

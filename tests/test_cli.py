@@ -191,6 +191,27 @@ def test_malformed_document_is_usage_error(tmp_path, capsys, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+GF5_CUBIC_PAIR = {**CUBIC_PAIR, "field": {"Fp": 5}}
+
+
+@pytest.mark.parametrize(
+    "where, doc, omega",
+    [
+        ("sigma1[3]", {**GF5_CUBIC_PAIR, "sigma1": ["0", "0", "0", "1/5"]}, None),
+        ("omega.num[0]", {**GF5_CUBIC_PAIR, "omega": {"num": ["1/5"], "den": ["0", "1"], "weight": 1}}, None),
+        ("omega.num[0]", GF5_CUBIC_PAIR, {"num": ["1/5"], "den": ["0", "1"], "weight": 1}),
+        ("mobius.a", {**GF5_CUBIC_PAIR, "mobius": {"a": "1/5", "b": "0", "c": "0", "d": "1"}}, None),
+    ],
+    ids=["sigma1", "omega", "omega_file", "mobius"],
+)
+def test_a_coefficient_with_no_residue_mod_p_is_usage_error(tmp_path, capsys, where, doc, omega):
+    # 1/5 has no residue mod 5: like 1/0, an input error that names its JSON path
+    argv = ["check", write_doc(tmp_path, "doc.json", doc)]
+    if omega is not None:
+        argv += ["--omega", write_doc(tmp_path, "omega.json", omega)]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {where}: denominator of 1/5 is divisible by 5\n")
+
+
 def test_sweep_output_matches_library(tmp_path, capsys):
     doc = {"sigma1": ["1", "0", "3", "0", "3", "0", "1"], "sigma2": ["1", "0", "1"]}
     path = write_doc(tmp_path, "doc.json", doc)
@@ -702,6 +723,13 @@ CLI_OUTPUT = Path(__file__).resolve().parent / "cli_output"
         ("check",
          {**RATIONAL_MOBIUS_PAIR, "omega": {"num": ["4", "-12", "13", "-6", "1"], "den": ["1"], "weight": -2}},
          "check_rational_mobius_pair_weight_minus2.txt"),
+        # k = deg den - deg num - 2 nu > 0 and < 0: the pullback puts B^|k| on one side
+        ("check",
+         {**RATIONAL_MOBIUS_PAIR, "omega": {"num": ["1"], "den": ["-2", "0", "0", "1"], "weight": 1}},
+         "check_rational_mobius_pair_k_positive.txt"),
+        ("check",
+         {**RATIONAL_MOBIUS_PAIR, "omega": {"num": ["0", "1"], "den": ["1"], "weight": 1}},
+         "check_rational_mobius_pair_k_negative.txt"),
     ],
 )
 def test_mobius_documents_print_their_pinned_output(tmp_path, capsys, command, doc, name):

@@ -9,9 +9,10 @@ p > deg sigma, and for p = 2, 3, 5, 7 <= deg sigma, where a map is either
 refused or has that index everywhere), deg R = deg W + e_inf - 1 against
 the ramification divisor, the local order identity at every point of
 the relevant supports, Divisor's one-pass canonical form against the
-two-stage refinement it replaced (conftest.divisor_by_refinement), and
+two-stage refinement it replaced (conftest.divisor_by_refinement),
 pullback against the RationalFunction algebra it replaced
-(conftest.pullback_by_ratfunc).
+(conftest.pullback_by_ratfunc), and the unreduced pullback pair, which
+keeps no common power of a squarefree denominator of the map.
 """
 
 import random
@@ -271,6 +272,43 @@ def test_pullback_matches_the_ratfunc_oracle(p):
             seen[rational, nu] += 1
     assert all(seen[rational, nu] >= 5 for rational in (False, True) for nu in PULLBACK_WEIGHTS), seen
     assert (seen["inseparable"] > 0) == (p == 7)
+
+
+def random_squarefree_quotient(rng, field):
+    """A separable rational map A/B with B nonconstant and squarefree."""
+    while True:
+        body = rf(random_poly(rng, field, rng.randint(1, 4)), random_poly(rng, field, rng.randint(1, 3)))
+        b = body.den
+        if b.degree > 0 and gcd_monic(b, b.derivative()).degree == 0 and not _wronskian(body).is_zero:
+            return RationalMap(body)
+
+
+@pytest.mark.parametrize("p", [0, 7, 2147483647])
+def test_pulled_back_shares_no_power_of_the_denominator(p):
+    # for sigma = A/B and omega = (f/g) (dt)^nu the pair is F W^nu B^k over G,
+    # k = deg g - deg f - 2 nu, with B^|k| on one side only; F, G and, for a
+    # squarefree B, W are prime to B, so P and Q share no factor of B
+    field = GF(p) if p else QQ
+    rng = random.Random(2800 + p % 1000)
+    one = Polynomial.one(field)
+    seen = Counter()
+    for _ in range(12):
+        sigma = random_squarefree_quotient(rng, field)
+        for nu in PULLBACK_WEIGHTS:
+            for target in (1, 0, -1):
+                df = rng.randint(0, 2)
+                dg = df + 2 * nu + target
+                if dg < 0:
+                    df, dg = df - dg, 0
+                omega = DifferentialForm(rf(random_poly(rng, field, df), random_poly(rng, field, dg)), nu)
+                k = omega.coeff.den.degree - omega.coeff.num.degree - 2 * nu
+                P, Q = geometry._pulled_back(sigma, omega)
+                assert gcd_monic(gcd_monic(P, Q), sigma.body.den) == one, (sigma, omega)
+                expected = pullback_by_ratfunc(sigma, omega).coeff
+                assert P.degree - Q.degree == expected.num.degree - expected.den.degree, (sigma, omega)
+                assert RationalFunction(P, Q) == expected, (sigma, omega)
+                seen[(k > 0) - (k < 0), nu > 0] += 1
+    assert all(seen[sign, positive] >= 10 for sign in (-1, 0, 1) for positive in (False, True)), seen
 
 
 def test_pullback_takes_the_wronskian_from_geometry(monkeypatch):

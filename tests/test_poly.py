@@ -2,7 +2,8 @@
 
 Frozen gcd/decomposition values were computed by hand; randomised checks
 cross-validate gcd and Yun decomposition against sympy as an independent
-implementation.
+implementation, and one composition of several polynomials over a quotient
+against one call per polynomial.
 """
 
 import random
@@ -14,9 +15,18 @@ import sympy
 
 from corrforms.errors import FieldMismatch, WildInput
 from corrforms.field import GF, QQ, FpElement
-from corrforms.poly import NEG_INFINITY, Polynomial, _divmod_raw, gcd_monic, radical, squarefree_decompose
+from corrforms.poly import (
+    NEG_INFINITY,
+    Polynomial,
+    _compose_over,
+    _divmod_raw,
+    compose_with_quotient,
+    gcd_monic,
+    radical,
+    squarefree_decompose,
+)
 
-from conftest import fp, qp, random_poly
+from conftest import fp, horner_by_polynomials, qp, random_poly
 
 
 def test_construction_strips_trailing_zeros():
@@ -114,6 +124,33 @@ def test_zero_composes_to_zero(field):
     for inner in (t, t**2 + 3, Polynomial.one(field), zero):
         assert zero.compose(inner).is_zero
     assert Polynomial.constant(field, 4).compose(zero) == Polynomial.constant(field, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1)], ids=["QQ", "GF7", "GF2147483647"])
+def test_one_composition_over_a_quotient_equals_one_call_per_polynomial(field):
+    # _compose_over builds the powers of den once for every outer polynomial;
+    # each result must be the single compose_with_quotient call, and the
+    # Polynomial-level Horner oracle, at orders up to 3 above the degree
+    rng = random.Random(f"compose over {field!r}")
+
+    def poly(degree):
+        return Polynomial(field, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree + 1)])
+
+    for _ in range(25):
+        num, den = poly(rng.randint(0, 3)), poly(rng.randint(0, 3))
+        if den.is_zero:
+            continue
+        polys = [poly(rng.randint(0, 5)) for _ in range(rng.randint(1, 4))] + [Polynomial.zero(field)]
+        rng.shuffle(polys)
+        pairs = [(f, max(f.degree, 0) + rng.randint(0, 3)) for f in polys]
+        got = _compose_over(num, den, pairs)
+        assert got == [compose_with_quotient(f, num, den, order) for f, order in pairs]
+        assert got == [horner_by_polynomials(f, num, den, order) for f, order in pairs]
+    t = Polynomial.variable(field)
+    assert _compose_over(t, t + 1, []) == []
+    with pytest.raises(ValueError, match="^order must be at least deg\\(poly\\)$"):
+        _compose_over(t, t + 1, [(t, 1), (t**3, 2)])
+
 
 def test_derivative_and_hasse():
     t = qp(0, 1)
