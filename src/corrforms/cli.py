@@ -15,7 +15,7 @@ import sys
 
 from .errors import CorrformsError, InputFormatError, NormalizationRequired, UnsupportedEqualDegrees
 from .field import QQ
-from .geometry import divisor_of_form
+from .geometry import divisor_of_form, mobius_conjugate
 from .invariance import (
     Correspondence,
     find_primitive,
@@ -106,9 +106,24 @@ def cmd_check(args):
     _emit(out)
 
 
+def _solve(doc, solver, *args):
+    """solver(doc.corr, *args); a refusal of rational maps that the document's mobius made names it."""
+    try:
+        return solver(doc.corr, *args)
+    except NormalizationRequired:
+        phi, corr = doc.mobius, doc.corr
+        # the maps as the document gives them, before the loader conjugated them
+        if phi is None or not all(mobius_conjugate(s, phi.inverse()).is_polynomial for s in (corr.sigma1, corr.sigma2)):
+            raise
+        raise NormalizationRequired(
+            'mobius: c != 0 makes the maps rational, and flat-form solvers need polynomial maps;'
+            ' solve the pair without "mobius"'
+        ) from None
+
+
 def cmd_detect(args):
     doc = _load_document(args.file)
-    report = find_primitive(doc.corr)
+    report = _solve(doc, find_primitive)
     _emit(group_report_to_json(report))
 
 
@@ -117,7 +132,7 @@ def cmd_sweep(args):
         raise InputFormatError(f"--pmin {args.pmin} exceeds --pmax {args.pmax}")
     doc = _load_document(args.file)
     try:
-        report = sweep(doc.corr, args.pmin, args.pmax, jobs=args.jobs)
+        report = _solve(doc, sweep, args.pmin, args.pmax, args.jobs)
     except InputFormatError as exc:  # sweep() owns its bounds; name them as flags
         raise InputFormatError(f"--{exc}") from None
     for entry in report.entries:

@@ -9,10 +9,13 @@ Storage contract: ``coeffs`` holds the field's raw values (see field.py),
 Fractions over Q and plain int residues in [0, p) over F_p.  Both fields
 multiply by Kronecker substitution on integers (``_mul_raw``): F_p on the
 residues, then ``% p``; Q on the numerators over one common denominator,
-then back to Fractions.  Every composition, of polynomials or rational
-functions, is one Horner's rule on those integer lists converted once, at
-the end (``_compose_over``, which builds the powers of the inner
-denominator once for all outer polynomials).  Division is one schoolbook
+then back to Fractions.  Every composition, of polynomials, rational
+functions or a Mobius conjugation, is one Horner's rule on those integer
+lists (``_compose_raw``, which builds the powers of the inner denominator
+once for all outer polynomials and multiplies by a two-term inner list with
+two scalar multiply-adds per coefficient), converted once, at the end
+(``_compose_over``, or ``geometry.mobius_conjugate`` after it combines two
+results).  Division is one schoolbook
 kernel for both fields, which also divides integer vectors exactly;
 ``monic`` and ratfunc.py invert raw scalars through ``_inverse``.  The
 public scalar FpElement appears only where a value leaves a polynomial:
@@ -396,16 +399,29 @@ def compose_with_quotient(poly, num, den, order):
 
 
 def _compose_over(num, den, pairs):
-    """[den**order * poly(num/den) for poly, order in pairs], by Horner's rule on integers; needs order >= deg(poly).
+    """[den**order * poly(num/den) for poly, order in pairs]; needs order >= deg(poly).
 
-    Each poly = F/d_F and the inner map are cleared to integers: over Q, for
-    num = N/d_N and den = D/d_D, the loop runs at (N d_D)/(D d_N) and gives
-    L = d_F (d_N d_D)**order * den**order * poly(num/den), which becomes one
-    Fraction per coefficient; over F_p it runs on the residues (every d is 1).
-    The powers of D are built once, for every pair.
+    The loop is _compose_raw's; this wraps each integer vector L and its
+    scale s as a polynomial over num.field, with one Fraction L_i/s per
+    coefficient over Q and the residues as they are over F_p.
     """
     field = num.field
     p = field.characteristic
+    raw = _compose_raw(num, den, pairs)
+    return [Polynomial._make(field, acc if p else [Fraction(c, s) for c in acc]) for acc, s in raw]
+
+
+def _compose_raw(num, den, pairs):
+    """[(L, s) for poly, order in pairs] with L/s = den**order * poly(num/den): the one Horner loop.
+
+    Each poly = F/d_F and the inner map are cleared to integers: over Q, for
+    num = N/d_N and den = D/d_D, the loop runs at (N d_D)/(D d_N), so L is an
+    integer vector and s = d_F (d_N d_D)**order; over F_p L holds residues and
+    s = 1.  The powers of D are built once, for every pair.  A two-term N or
+    D, as for a Mobius map, multiplies in by two scalar multiply-adds per
+    coefficient instead of a packed product (_mul_raw).
+    """
+    p = num.field.characteristic
     (ns, dn), (ds, dd) = _integer_parts(num.coeffs), _integer_parts(den.coeffs)
     ns, ds = [c * dd for c in ns], [c * dn for c in ds]
     dpows = [[1]]  # the powers of D that the loops and the final paddings use
@@ -416,16 +432,23 @@ def _compose_over(num, den, pairs):
         if len(cs) > order + 1:
             raise ValueError("order must be at least deg(poly)")
         while len(dpows) <= max(len(cs) - 1, order + 1 - len(cs)):
-            dpows.append(_mul_raw(dpows[-1], ds, p))
+            dpows.append(_times(dpows[-1], ds, p))
         acc = []
         for k, c in enumerate(reversed(cs)):
-            acc = [x + c * y for x, y in zip_longest(_mul_raw(acc, ns, p), dpows[k], fillvalue=0)]
+            acc = [x + c * y for x, y in zip_longest(_times(acc, ns, p), dpows[k], fillvalue=0)]
             if p:
                 acc = [x % p for x in acc]
-        acc = _mul_raw(acc, dpows[order + 1 - len(cs)], p)
-        scale = df * (dn * dd) ** order  # 1 over F_p
-        out.append(Polynomial._make(field, acc if p else [Fraction(c, scale) for c in acc]))
+        out.append((_mul_raw(acc, dpows[order + 1 - len(cs)], p), df * (dn * dd) ** order))
     return out
+
+
+def _times(v, m, p):
+    """v * m for integer lists as _mul_raw gives it; a two-term m by two scalar multiply-adds per coefficient."""
+    if len(m) != 2 or not v:
+        return _mul_raw(v, m, p)
+    m0, m1 = m
+    out = [m0 * x + m1 * y for x, y in zip_longest(v, [0, *v], fillvalue=0)]
+    return [x % p for x in out] if p else out
 
 
 _SCREEN_PRIME = 2**31 - 1  # the largest prime below GF's cap

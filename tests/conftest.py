@@ -93,6 +93,17 @@ def pullback_by_ratfunc(sigma, omega):
     return geometry.DifferentialForm(comp * ds**omega.weight, omega.weight)
 
 
+def mobius_conjugate_by_compose(sigma, phi):
+    """phi o sigma o phi^{-1} by two RationalMap.compose calls: mobius_conjugate
+    as written before it made one Horner pass over phi^{-1}."""
+    fwd = phi.as_map()
+    back = phi.inverse().as_map()
+    out = fwd.compose(sigma).compose(back)
+    if out.degree != sigma.degree:
+        raise AssertionError("conjugation changed the degree")
+    return out
+
+
 def gcd_by_euclid(a, b):
     """Monic gcd by the Euclidean algorithm alone: gcd_monic as written before
     its coprimality screen mod a word-size prime."""

@@ -681,7 +681,8 @@ CHEB_PAIR_MOD_3 = {
          ("corrforms.geometry.squarefree_decompose",
           lambda a: SquarefreeDecomposition(a.leading, ((a.monic(), 5),))),
          "ramification index exceeded map degree"),
-        ("detect", CHEB_SHIFTED, ("corrforms.geometry.RationalMap.compose", lambda self, other: other),
+        # a Horner pass that returns t/1 makes the conjugate phi itself, of degree 1
+        ("detect", CHEB_SHIFTED, ("corrforms.geometry._compose_raw", lambda num, den, pairs: [([0, 1], 1), ([1], 1)]),
          "conjugation changed the degree"),
         # (t^3, t^2) has the degenerate weight-2 form (dt)^2/t^2 once dt/t is hidden
         ("detect", {"sigma1": ["0", "0", "0", "1"], "sigma2": ["0", "0", "1"]},
@@ -741,6 +742,41 @@ def test_mobius_documents_print_their_pinned_output(tmp_path, capsys, command, d
 def test_pinned_mobius_document_is_the_one_ci_checks():
     # the CI packaging step runs the installed entry point on this file
     assert json.loads((CLI_OUTPUT / "rational_mobius_pair.json").read_text(encoding="utf-8")) == RATIONAL_MOBIUS_PAIR
+
+
+def test_pinned_affine_mobius_document_is_the_one_ci_checks():
+    # the CI packaging step runs the installed detect and check on this file
+    assert json.loads((CLI_OUTPUT / "cheb_shifted.json").read_text(encoding="utf-8")) == CHEB_SHIFTED
+
+
+MOBIUS_REFUSAL = (
+    'error: mobius: c != 0 makes the maps rational, and flat-form solvers need polynomial maps;'
+    ' solve the pair without "mobius"\n'
+)
+RATIONAL_REFUSAL = "error: flat-form solvers need polynomial maps; conjugate with mobius_conjugate first\n"
+
+
+RATIONAL_SIGMA1 = {"num": ["1"], "den": ["0", "0", "0", "1"]}
+SWEEP = ("sweep", "--pmin", "2", "--pmax", "30")
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        # polynomial maps made rational by the document's mobius: the refusal names it
+        (("detect",), RATIONAL_MOBIUS_PAIR, MOBIUS_REFUSAL),
+        (("detect",), {**RATIONAL_MOBIUS_PAIR, "field": {"Fp": 7}}, MOBIUS_REFUSAL),
+        (SWEEP, RATIONAL_MOBIUS_PAIR, MOBIUS_REFUSAL),
+        # maps that are rational before any conjugation keep the solvers' own refusal
+        (("detect",), {**RATIONAL_MOBIUS_PAIR, "sigma1": RATIONAL_SIGMA1}, RATIONAL_REFUSAL),
+        (SWEEP, {**RATIONAL_MOBIUS_PAIR, "sigma1": RATIONAL_SIGMA1}, RATIONAL_REFUSAL),
+        (("detect",), {**CUBIC_PAIR, "sigma1": RATIONAL_SIGMA1}, RATIONAL_REFUSAL),
+    ],
+    ids=["detect", "detect_gf7", "sweep", "detect_rational_with_mobius", "sweep_rational_with_mobius", "detect_rational"],
+)
+def test_solvers_name_the_mobius_that_made_the_maps_rational(tmp_path, capsys, command, doc, message):
+    path = write_doc(tmp_path, "doc.json", doc)
+    assert run_cli(capsys, command[0], path, *command[1:]) == (3, "", message)
 
 
 def test_no_taylor_coefficient_in_any_characteristic(
