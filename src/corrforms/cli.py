@@ -15,7 +15,7 @@ import sys
 
 from .errors import CorrformsError, InputFormatError, NormalizationRequired, UnsupportedEqualDegrees
 from .field import QQ
-from .geometry import divisor_of_form, mobius_conjugate
+from .geometry import divisor_of_form
 from .invariance import (
     Correspondence,
     find_primitive,
@@ -106,18 +106,19 @@ def cmd_check(args):
     _emit(out)
 
 
-def _solve(doc, solver, *args):
-    """solver(doc.corr, *args); a refusal of rational maps that the document's mobius made names it."""
+def _solve(doc, solver, *args, needs=("flat-form solvers need", "solve")):
+    """solver(doc.corr, *args); a refusal of rational maps that the document's mobius made names it.
+
+    needs is (who needs polynomial maps, what to do with the pair), as the message says them.
+    """
     try:
         return solver(doc.corr, *args)
     except NormalizationRequired:
-        phi, corr = doc.mobius, doc.corr
-        # the maps as the document gives them, before the loader conjugated them
-        if phi is None or not all(mobius_conjugate(s, phi.inverse()).is_polynomial for s in (corr.sigma1, corr.sigma2)):
+        if doc.mobius is None or not all(s.is_polynomial for s in doc.given_maps):
             raise
         raise NormalizationRequired(
-            'mobius: c != 0 makes the maps rational, and flat-form solvers need polynomial maps;'
-            ' solve the pair without "mobius"'
+            f"mobius: c != 0 makes the maps rational, and {needs[0]} polynomial maps;"
+            f' {needs[1]} the pair without "mobius"'
         ) from None
 
 
@@ -140,12 +141,14 @@ def cmd_sweep(args):
     _emit(sweep_summary_to_json(report))
 
 
-def cmd_decompose(args):
-    doc = _load_document(args.file)
-    corr = doc.corr
+def _decompose(corr):
     if not corr.is_polynomial_pair:
         raise NormalizationRequired("decompose needs polynomial maps")
-    dec = decompose_power_pair(corr.sigma1.polynomial, corr.sigma2.polynomial)
+    return decompose_power_pair(corr.sigma1.polynomial, corr.sigma2.polynomial)
+
+
+def cmd_decompose(args):
+    dec = _solve(_load_document(args.file), _decompose, needs=("decompose needs", "decompose"))
     if dec is None:
         _emit({"result": "none"})
     else:

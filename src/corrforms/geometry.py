@@ -42,9 +42,12 @@ from .ratfunc import RationalFunction, _coprime, _wronskian
 
 
 class RationalMap:
-    """Nonconstant self-map of the projective line, given on the affine chart."""
+    """Nonconstant self-map of the projective line, given on the affine chart.
 
-    __slots__ = ("body",)
+    It is never changed after __init__, so its Wronskian W = A'B - AB' is built once, on first use.
+    """
+
+    __slots__ = ("body", "_w")
 
     def __init__(self, body):
         if isinstance(body, Polynomial):
@@ -54,6 +57,13 @@ class RationalMap:
         if body.is_constant:
             raise ValueError("a map of the line must be nonconstant")
         self.body = body
+        self._w = None
+
+    @property
+    def _wronskian(self):
+        if self._w is None:
+            self._w = _wronskian(self.body)  # looked up in the module, so patching geometry._wronskian reaches it
+        return self._w
 
     @property
     def field(self):
@@ -75,11 +85,8 @@ class RationalMap:
 
     @property
     def is_separable(self):
-        # A/B is coprime, so A'B = AB' forces A | A' and B | B', i.e. A' = B' = 0,
-        # which in characteristic 0 only a constant map satisfies
-        if not self.field.characteristic:
-            return True
-        return not (self.body.num.derivative().is_zero and self.body.den.derivative().is_zero)
+        """W != 0.  A/B is coprime, so W = 0 forces A' = B' = 0: never over Q, where W is not built."""
+        return not self.field.characteristic or not self._wronskian.is_zero
 
     def compose(self, other):
         """self after other."""
@@ -288,7 +295,7 @@ def _pulled_back(sigma, omega):
     common power of B is left.  Raises InseparableMap when W = 0.
     """
     f, g, nu = omega.coeff.num, omega.coeff.den, omega.weight
-    w = _wronskian(sigma.body)
+    w = sigma._wronskian
     if w.is_zero:
         raise InseparableMap(f"{sigma} is inseparable")
     k = g.degree - f.degree - 2 * nu
@@ -353,13 +360,12 @@ def _infinity_chart(a_poly, b_poly):
 def ramification_places(sigma):
     """Ramification data of sigma; raises InseparableMap on a zero Wronskian.
 
-    A Wronskian zero of order k is a place of index k + 1, in every
+    A zero of order k of the map's own W is a place of index k + 1, in every
     characteristic: squarefree_decompose raises WildInput unless every
     multiplicity of W is below p, and a wild place of index e has ord W >= e.
     """
-    body = sigma.body
-    a_poly, b_poly = body.num, body.den
-    wronskian = _wronskian(body)
+    a_poly, b_poly = sigma.body.num, sigma.body.den
+    wronskian = sigma._wronskian
     if wronskian.is_zero:
         raise InseparableMap(f"{sigma} is inseparable")
 
@@ -421,17 +427,15 @@ def ramification_divisor(sigma):
 def _ramification_degree(sigma):
     """deg R_sigma = deg W + e_inf - 1 in every characteristic; requires a tame map.
 
-    Every affine index is e = k + 1 for a zero of order k of the Wronskian W,
+    Every affine index is e = k + 1 for a zero of order k of the map's W,
     so the affine part of R_sigma has degree deg W, with no gcd.  An index
     can be divisible by p only when 0 < p <= deg sigma; only then is
-    `_tame_places` called, which raises on a wild or inseparable map, and
-    deg W is read off its places as the sum of (e - 1) deg cluster.
+    `_tame_places` called, for its raise on a wild or inseparable map.
     """
     body = sigma.body
     if 0 < body.field.characteristic <= sigma.degree:
-        places = _tame_places(sigma)
-        return sum((e - 1) * cluster.degree for cluster, e in places.affine) + places.infinity - 1
-    return _wronskian(body).degree + _infinity_chart(body.num, body.den)[0] - 1
+        _tame_places(sigma)
+    return sigma._wronskian.degree + _infinity_chart(body.num, body.den)[0] - 1
 
 
 def _ramification_divisor(sigma, places):

@@ -143,17 +143,21 @@ def field_from_json(data, where):
 
 
 class ParsedDocument(NamedTuple):
+    """corr holds the maps after the Mobius change, given_maps the (sigma1, sigma2) the document gives."""
+
     field: object
     corr: Correspondence
     omega: DifferentialForm | None
     mobius: MobiusTransform | None
+    given_maps: tuple
 
 
 def document_from_json(obj):
     """Parse an input document: sigma1, sigma2, optional omega / field / mobius.
 
     A Mobius change phi is applied while parsing: corr holds the conjugated
-    maps phi o sigma o phi^{-1}, and mobius records phi.
+    maps phi o sigma o phi^{-1}, mobius records phi, and given_maps keeps
+    the two maps as the document gives them, before conjugation.
     """
     if not isinstance(obj, dict):
         raise InputFormatError("document: expected a JSON object")
@@ -168,11 +172,12 @@ def document_from_json(obj):
     sigma2 = map_from_json(field, obj["sigma2"], "sigma2")
     omega = form_from_json(field, obj["omega"], "omega") if "omega" in obj else None
     mobius = mobius_from_json(field, obj["mobius"], "mobius") if "mobius" in obj else None
+    given_maps = (sigma1, sigma2)
     if mobius is not None:
         sigma1 = mobius_conjugate(sigma1, mobius)
         sigma2 = mobius_conjugate(sigma2, mobius)
     corr = Correspondence(sigma1, sigma2)  # inseparability is a math failure, not a parse one
-    return ParsedDocument(field, corr, omega, mobius)
+    return ParsedDocument(field, corr, omega, mobius, given_maps)
 
 
 def group_report_to_json(report):

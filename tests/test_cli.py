@@ -655,6 +655,23 @@ def test_check_computes_each_quantity_once(tmp_path, capsys, count_check_quantit
     }
 
 
+@pytest.mark.parametrize(
+    "doc", [CUBIC_PAIR, {**CUBIC_PAIR, "field": {"Fp": 7}}, CHEB_SHIFTED], ids=["cubic", "cubic_gf7", "chebyshev_mobius"]
+)
+def test_check_builds_one_wronskian_per_map(tmp_path, capsys, monkeypatch, doc):
+    # the pullback, the separability test over F_p and deg R_sigma all read the map's one W
+    bodies = []
+
+    def counted(body):
+        bodies.append(body)
+        return _wronskian(body)
+
+    monkeypatch.setattr("corrforms.geometry._wronskian", counted)
+    code, out, err = run_cli(capsys, "check", write_doc(tmp_path, "doc.json", doc))
+    assert code == 0 and err == "" and json.loads(out)["holds"] is True
+    assert len(bodies) == len(set(bodies)) == 2
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "corrforms", "bound", "--gx", "0", "--gy", "0", "--d1", "4", "--d2", "1"],
@@ -754,6 +771,10 @@ MOBIUS_REFUSAL = (
     ' solve the pair without "mobius"\n'
 )
 RATIONAL_REFUSAL = "error: flat-form solvers need polynomial maps; conjugate with mobius_conjugate first\n"
+DECOMPOSE_MOBIUS_REFUSAL = (
+    'error: mobius: c != 0 makes the maps rational, and decompose needs polynomial maps;'
+    ' decompose the pair without "mobius"\n'
+)
 
 
 RATIONAL_SIGMA1 = {"num": ["1"], "den": ["0", "0", "0", "1"]}
@@ -771,8 +792,19 @@ SWEEP = ("sweep", "--pmin", "2", "--pmax", "30")
         (("detect",), {**RATIONAL_MOBIUS_PAIR, "sigma1": RATIONAL_SIGMA1}, RATIONAL_REFUSAL),
         (SWEEP, {**RATIONAL_MOBIUS_PAIR, "sigma1": RATIONAL_SIGMA1}, RATIONAL_REFUSAL),
         (("detect",), {**CUBIC_PAIR, "sigma1": RATIONAL_SIGMA1}, RATIONAL_REFUSAL),
+        (("decompose",), RATIONAL_MOBIUS_PAIR, DECOMPOSE_MOBIUS_REFUSAL),
+        (("decompose",), {**RATIONAL_MOBIUS_PAIR, "sigma1": RATIONAL_SIGMA1}, "error: decompose needs polynomial maps\n"),
     ],
-    ids=["detect", "detect_gf7", "sweep", "detect_rational_with_mobius", "sweep_rational_with_mobius", "detect_rational"],
+    ids=[
+        "detect",
+        "detect_gf7",
+        "sweep",
+        "detect_rational_with_mobius",
+        "sweep_rational_with_mobius",
+        "detect_rational",
+        "decompose",
+        "decompose_rational_with_mobius",
+    ],
 )
 def test_solvers_name_the_mobius_that_made_the_maps_rational(tmp_path, capsys, command, doc, message):
     path = write_doc(tmp_path, "doc.json", doc)

@@ -170,6 +170,18 @@ def test_is_separable_matches_the_wronskian():
         assert verdicts == ({True} if field is QQ else {True, False})
 
 
+@pytest.mark.parametrize("p", [7, 2147483647])
+def test_is_separable_reads_the_wronskian_of_the_tameness_check(monkeypatch, p):
+    t = fp(p, 0, 1)
+    calls = []
+    derivative = Polynomial.derivative
+    monkeypatch.setattr(Polynomial, "derivative", lambda self: calls.append(self) or derivative(self))
+    for sigma in (RationalMap(t**3 + t), RationalMap(rf(t**2 + 1, t + 3))):
+        geometry._tame_places(sigma)
+        calls.clear()
+        assert sigma.is_separable and calls == [], sigma
+
+
 # ---------------------------------------------------------------------- pullbacks
 
 
@@ -324,7 +336,7 @@ def test_pullback_takes_the_wronskian_from_geometry(monkeypatch):
             cases.append((sigma, omega, pullback(sigma, omega)))
     monkeypatch.setattr(geometry, "_wronskian", lambda body: _wronskian(body) * Polynomial.variable(body.field))
     for sigma, omega, before in cases:
-        assert pullback(sigma, omega).coeff == before.coeff * t**omega.weight, (sigma, omega)
+        assert pullback(RationalMap(sigma.body), omega).coeff == before.coeff * t**omega.weight, (sigma, omega)
 
 
 # ----------------------------------------------------------------------- divisors
