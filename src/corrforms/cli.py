@@ -18,6 +18,7 @@ from .field import QQ
 from .geometry import divisor_of_form
 from .invariance import (
     Correspondence,
+    _moved_by_affine,
     find_primitive,
     genus_conductor_bound,
     ramification_conductor_bound,
@@ -68,13 +69,14 @@ def _load_document(path):
 
 def cmd_check(args):
     doc = _load_document(args.file)
+    corr = doc.corr  # a Mobius document conjugates here, before --omega is read
     omega = doc.omega
     if args.omega:
         omega = form_from_json(doc.field, _read_json(args.omega), "omega")
     if omega is None:
         raise InputFormatError("check needs a form: embed \"omega\" or pass --omega FILE")
     n = max(omega.coeff.num.degree, omega.coeff.den.degree)
-    work = max(doc.corr.d1, doc.corr.d2) * (n + 2 * abs(omega.weight))
+    work = max(corr.d1, corr.d2) * (n + 2 * abs(omega.weight))
     if work > _MAX_CHECK_DEGREE:
         raise InputFormatError(
             f"check: max(d1, d2) * (n + 2|weight|) = {work} must be at most {_MAX_CHECK_DEGREE},"
@@ -85,7 +87,7 @@ def cmd_check(args):
             f"check: n = {n} must be at most {_MAX_CHECK_FORM_DEGREE},"
             " where n is the larger degree of omega's num and den"
         )
-    ratio = semi_invariance_ratio(doc.corr, omega)
+    ratio = semi_invariance_ratio(corr, omega)
     div = divisor_of_form(omega)
     out = {
         "semi_invariant": ratio is not None,
@@ -97,7 +99,7 @@ def cmd_check(args):
     out["bound"] = out["holds"] = None
     if ratio is not None:
         try:
-            bound = ramification_conductor_bound(doc.corr)
+            bound = ramification_conductor_bound(corr)
         except UnsupportedEqualDegrees:  # the bound needs d1 > d2
             pass
         else:
@@ -123,9 +125,24 @@ def _solve(doc, solver, *args, needs=("flat-form solvers need", "solve")):
 
 
 def cmd_detect(args):
-    doc = _load_document(args.file)
-    report = _solve(doc, find_primitive)
-    _emit(group_report_to_json(report))
+    """find_primitive on doc.corr; with an affine mobius phi, on the given pair, moved by phi.
+
+    Conjugation by phi(t) = alpha t + beta keeps polynomial maps polynomial and
+    moves the unique flat answer by phi, so the given pair is solved on its own
+    coefficients and only the parameters move.  A refusal of the given pair is
+    raised again by doc.corr, whose message names the conjugated maps.
+    """
+    _emit(group_report_to_json(_detect(_load_document(args.file))))
+
+
+def _detect(doc):
+    phi = doc.mobius
+    if phi is not None and not phi.c:
+        try:
+            return _moved_by_affine(find_primitive(Correspondence(*doc.given_maps)), phi)
+        except CorrformsError:
+            pass
+    return _solve(doc, find_primitive)
 
 
 def cmd_sweep(args):

@@ -247,6 +247,25 @@ def find_primitive(corr):
     )
 
 
+def _moved_by_affine(report, phi):
+    """find_primitive's report for (sigma1, sigma2), moved to (phi sigma_i phi^{-1}).
+
+    phi(t) = alpha t + beta with alpha = a/d, beta = b/d (c = 0).  The primitive
+    moves to (phi^{-1})^* omega: a' = alpha a + beta at weight 1, and at weight 2
+    s' = alpha s + 2 beta, q' = alpha^2 q + alpha beta s + beta^2.  lambda, the
+    weight, the status and complete stay, since the solvers' answer is unique.
+    """
+    if report.status != "cyclic":
+        return report
+    field, alpha, beta = phi.field, phi.a / phi.d, phi.b / phi.d
+    if report.weight == 1:
+        a = alpha * report.params["a"] + beta
+        return report._replace(params={"a": a}, primitive=flat_form_weight1(field, a))
+    s, q = report.params["s"], report.params["q"]
+    s, q = alpha * s + 2 * beta, alpha * (alpha * q + beta * s) + beta * beta
+    return report._replace(params={"s": s, "q": q}, primitive=flat_form_weight2(field, s, q))
+
+
 def genus_conductor_bound(g_x, g_y, d1, d2):
     """(3(2g_x - 2) - (2 d1 + d2)(2 g_y - 2)) / (d1 - d2), exact."""
     for name, g in (("g_x", g_x), ("g_y", g_y)):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import InputFormatError, NotPLocalUnit
 from .field import GF, QQ, FpElement
@@ -142,22 +141,33 @@ def field_from_json(data, where):
     raise InputFormatError(f'{where}: expected "Q" or {{"Fp": p}}')
 
 
-class ParsedDocument(NamedTuple):
-    """corr holds the maps after the Mobius change, given_maps the (sigma1, sigma2) the document gives."""
+class ParsedDocument:
+    """A parsed document: given_maps is the (sigma1, sigma2) the document gives.
 
-    field: object
-    corr: Correspondence
-    omega: DifferentialForm | None
-    mobius: MobiusTransform | None
-    given_maps: tuple
+    corr is the Correspondence of the maps after the Mobius change,
+    phi o sigma o phi^{-1}.  Without a mobius it is built at load, so an
+    inseparable map fails there; with one it is built on first use, so a
+    caller that solves the given pair and moves the answer by phi never
+    conjugates.
+    """
+
+    __slots__ = ("field", "omega", "mobius", "given_maps", "_corr")
+
+    def __init__(self, field, omega, mobius, given_maps):
+        self.field, self.omega, self.mobius, self.given_maps = field, omega, mobius, given_maps
+        self._corr = Correspondence(*given_maps) if mobius is None else None  # inseparability is a math failure
+
+    @property
+    def corr(self):
+        if self._corr is None:
+            self._corr = Correspondence(*(mobius_conjugate(s, self.mobius) for s in self.given_maps))
+        return self._corr
 
 
 def document_from_json(obj):
     """Parse an input document: sigma1, sigma2, optional omega / field / mobius.
 
-    A Mobius change phi is applied while parsing: corr holds the conjugated
-    maps phi o sigma o phi^{-1}, mobius records phi, and given_maps keeps
-    the two maps as the document gives them, before conjugation.
+    mobius records a change phi; ParsedDocument.corr applies it.
     """
     if not isinstance(obj, dict):
         raise InputFormatError("document: expected a JSON object")
@@ -172,12 +182,7 @@ def document_from_json(obj):
     sigma2 = map_from_json(field, obj["sigma2"], "sigma2")
     omega = form_from_json(field, obj["omega"], "omega") if "omega" in obj else None
     mobius = mobius_from_json(field, obj["mobius"], "mobius") if "mobius" in obj else None
-    given_maps = (sigma1, sigma2)
-    if mobius is not None:
-        sigma1 = mobius_conjugate(sigma1, mobius)
-        sigma2 = mobius_conjugate(sigma2, mobius)
-    corr = Correspondence(sigma1, sigma2)  # inseparability is a math failure, not a parse one
-    return ParsedDocument(field, corr, omega, mobius, given_maps)
+    return ParsedDocument(field, omega, mobius, (sigma1, sigma2))
 
 
 def group_report_to_json(report):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from corrforms import geometry, serialize
 from corrforms.cli import main
 from corrforms.field import QQ
 from corrforms.invariance import Correspondence, find_primitive
@@ -639,6 +640,17 @@ CHEB_SHIFTED = {
     "mobius": {"a": "1", "b": "1", "c": "0", "d": "1"},
 }
 
+# (T_5, T_2) over F_101 conjugated by phi = (3t + 5)/7, with (dt)^2/(t^2 - 4) moved by phi
+CHEB_SHIFTED_GF101 = {
+    "sigma1": ["0", "5", "0", "-5", "0", "1"],
+    "sigma2": ["-2", "0", "1"],
+    "omega": {"num": ["1"], "den": ["41", "13", "1"], "weight": 2},
+    "field": {"Fp": 101},
+    "mobius": {"a": "3", "b": "5", "c": "0", "d": "7"},
+}
+# over F_7, T_4 and T_2 are separable and 7 divides neither degree
+CHEB_SHIFTED_GF7 = {**CHEB_SHIFTED, "field": {"Fp": 7}}
+
 
 @pytest.mark.parametrize("doc", [CUBIC_PAIR, CHEB_SHIFTED], ids=["cubic", "chebyshev_mobius"])
 def test_check_computes_each_quantity_once(tmp_path, capsys, count_check_quantities, doc):
@@ -698,8 +710,9 @@ CHEB_PAIR_MOD_3 = {
          ("corrforms.geometry.squarefree_decompose",
           lambda a: SquarefreeDecomposition(a.leading, ((a.monic(), 5),))),
          "ramification index exceeded map degree"),
-        # a Horner pass that returns t/1 makes the conjugate phi itself, of degree 1
-        ("detect", CHEB_SHIFTED, ("corrforms.geometry._compose_raw", lambda num, den, pairs: [([0, 1], 1), ([1], 1)]),
+        # a Horner pass that returns t/1 makes the conjugate phi itself, of degree 1;
+        # detect on an affine document solves the given pair and never conjugates
+        ("check", CHEB_SHIFTED, ("corrforms.geometry._compose_raw", lambda num, den, pairs: [([0, 1], 1), ([1], 1)]),
          "conjugation changed the degree"),
         # (t^3, t^2) has the degenerate weight-2 form (dt)^2/t^2 once dt/t is hidden
         ("detect", {"sigma1": ["0", "0", "0", "1"], "sigma2": ["0", "0", "1"]},
@@ -748,6 +761,9 @@ CLI_OUTPUT = Path(__file__).resolve().parent / "cli_output"
         ("check",
          {**RATIONAL_MOBIUS_PAIR, "omega": {"num": ["0", "1"], "den": ["1"], "weight": 1}},
          "check_rational_mobius_pair_k_negative.txt"),
+        # the affine document over F_101, pinned before detect stopped conjugating
+        ("detect", CHEB_SHIFTED_GF101, "detect_cheb_shifted_gf101.txt"),
+        ("check", CHEB_SHIFTED_GF101, "check_cheb_shifted_gf101.txt"),
     ],
 )
 def test_mobius_documents_print_their_pinned_output(tmp_path, capsys, command, doc, name):
@@ -764,6 +780,31 @@ def test_pinned_mobius_document_is_the_one_ci_checks():
 def test_pinned_affine_mobius_document_is_the_one_ci_checks():
     # the CI packaging step runs the installed detect and check on this file
     assert json.loads((CLI_OUTPUT / "cheb_shifted.json").read_text(encoding="utf-8")) == CHEB_SHIFTED
+
+
+def test_pinned_affine_gf101_document_is_the_one_ci_checks():
+    # and on this one, over F_101 with d != 1
+    assert json.loads((CLI_OUTPUT / "cheb_shifted_gf101.json").read_text(encoding="utf-8")) == CHEB_SHIFTED_GF101
+
+
+@pytest.mark.parametrize("doc", [CHEB_SHIFTED, CHEB_SHIFTED_GF7], ids=["QQ", "GF7"])
+def test_detect_on_an_affine_mobius_document_conjugates_nothing(tmp_path, capsys, monkeypatch, doc):
+    # the given pair is solved and its answer moved by phi; check still conjugates both maps
+    calls = []
+    original = geometry.mobius_conjugate
+
+    def counted(sigma, phi):
+        calls.append(sigma)
+        return original(sigma, phi)
+
+    for module in (geometry, serialize):
+        monkeypatch.setattr(module, "mobius_conjugate", counted)
+    path = write_doc(tmp_path, "doc.json", doc)
+    code, out, err = run_cli(capsys, "detect", path)
+    assert (code, err) == (0, "") and json.loads(out)["status"] == "cyclic"
+    assert calls == []
+    assert run_cli(capsys, "check", path)[0] == 0
+    assert len(calls) == 2
 
 
 MOBIUS_REFUSAL = (
