@@ -223,19 +223,6 @@ class Divisor:
         """Sum of multiplicities over geometric affine points."""
         return sum(m * g.degree for g, m in self.affine)
 
-    def multiplicity_at(self, x):
-        """Multiplicity at a point (field element) or at a cluster dividing
-        one component (Polynomial)."""
-        if isinstance(x, Polynomial):
-            for g, m in self.affine:
-                if x.degree >= 1 and (g % x).is_zero:
-                    return m
-            return 0
-        for g, m in self.affine:
-            if not g(x):
-                return m
-        return 0
-
     def __eq__(self, other):
         if not isinstance(other, Divisor):
             return NotImplemented

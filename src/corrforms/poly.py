@@ -342,7 +342,7 @@ class Polynomial:
 
     def compose(self, inner):
         """self(inner) for a polynomial inner."""
-        return compose_with_quotient(self, inner, Polynomial.one(self.field), max(self.degree, 0))
+        return _compose_over(inner, Polynomial.one(self.field), [(self, max(self.degree, 0))])[0]
 
     def derivative(self):
         # in characteristic p the i*c factor reduces mod p, so t^p |-> 0
@@ -391,11 +391,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self.field!r}: {self}>"
-
-
-def compose_with_quotient(poly, num, den, order):
-    """den**order * poly(num/den), a polynomial; needs order >= deg(poly).  The one-pair case of _compose_over."""
-    return _compose_over(num, den, [(poly, order)])[0]
 
 
 def _compose_over(num, den, pairs):

@@ -1,7 +1,7 @@
 """Rational functions in one variable: reduced fractions with monic denominator.
 
-Only the constructor (user input), ``+`` and ``derivative`` reduce by a full
-gcd, and none of them when the numerator or the denominator is constant.
+Only the constructor (user input) and ``+`` reduce by a full gcd, and
+neither when the numerator or the denominator is constant.
 Other operations take no gcd where no common factor can arise: powers and
 compositions of coprime pairs are coprime, and reduced a/b times c/d is
 reduced once gcd(a, d) and gcd(c, b) are cancelled.
@@ -159,9 +159,6 @@ class RationalFunction:
             num, den, n = den, num, -n
         # powers of coprime polynomials are coprime: no gcd to take
         return _coprime(num**n, den**n)
-
-    def derivative(self):
-        return RationalFunction(_wronskian(self), self.den * self.den)
 
     def compose(self, inner):
         """self(inner(t)) for a RationalFunction inner.

@@ -82,11 +82,18 @@ def horner_by_polynomials(poly, num, den, order):
     return acc
 
 
+def derivative_by_quotient_rule(f):
+    """f' = (A'B - AB')/B**2 for a RationalFunction f = A/B, reduced by the
+    constructor; written out here so that no oracle reads ratfunc._wronskian."""
+    num, den = f.num, f.den
+    return RationalFunction(num.derivative() * den - num * den.derivative(), den * den)
+
+
 def pullback_by_ratfunc(sigma, omega):
-    """sigma^* omega through RationalFunction algebra: sigma' from `derivative`,
-    then `compose`, `**` and a cross-cancelling `*`, as pullback was written
-    before it reduced the pair of geometry._pulled_back once."""
-    ds = sigma.body.derivative()
+    """sigma^* omega through RationalFunction algebra: sigma' by the quotient
+    rule, then `compose`, `**` and a cross-cancelling `*`, as pullback was
+    written before it reduced the pair of geometry._pulled_back once."""
+    ds = derivative_by_quotient_rule(sigma.body)
     if ds.is_zero:
         raise InseparableMap(f"{sigma} is inseparable")
     comp = omega.coeff.compose(sigma.body)

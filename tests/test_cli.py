@@ -772,6 +772,25 @@ def test_mobius_documents_print_their_pinned_output(tmp_path, capsys, command, d
     assert run_cli(capsys, command, write_doc(tmp_path, "doc.json", doc)) == (0, expected, "")
 
 
+PIN_COMMANDS = ("check", "detect")
+
+
+def test_every_pinned_document_has_a_pin_and_every_pin_its_document(capsys):
+    # the CI packaging step loops over each <stem>.json here and runs every
+    # <cmd>_<stem>.txt beside it; a pin without its document, or a document
+    # without a pin, would drop out of that loop without a failure
+    stems = {path.stem for path in CLI_OUTPUT.glob("*.json")}
+    pins = {path.stem for path in CLI_OUTPUT.glob("*.txt") if path.stem.split("_", 1)[0] in PIN_COMMANDS}
+    orphans = sorted(pin for pin in pins if pin.split("_", 1)[1] not in stems)
+    unpinned = sorted(stem for stem in stems if not any(f"{c}_{stem}" in pins for c in PIN_COMMANDS))
+    assert (orphans, unpinned) == ([], [])
+    assert len(stems) == 7 and len(pins) == 9
+    for pin in sorted(pins):
+        command, stem = pin.split("_", 1)
+        expected = (CLI_OUTPUT / f"{pin}.txt").read_text(encoding="utf-8")
+        assert run_cli(capsys, command, str(CLI_OUTPUT / f"{stem}.json")) == (0, expected, ""), pin
+
+
 def test_pinned_mobius_document_is_the_one_ci_checks():
     # the CI packaging step runs the installed entry point on this file
     assert json.loads((CLI_OUTPUT / "rational_mobius_pair.json").read_text(encoding="utf-8")) == RATIONAL_MOBIUS_PAIR

@@ -17,7 +17,7 @@ from corrforms.errors import FieldMismatch, InseparableMap, NormalizationRequire
 from corrforms.field import GF, QQ, FpElement
 from corrforms.geometry import DifferentialForm, Divisor, MobiusTransform, RationalMap, mobius_conjugate
 from corrforms.invariance import Correspondence, affine_conductor_guard, flat_form_weight1
-from corrforms.poly import Polynomial, compose_with_quotient, squarefree_decompose
+from corrforms.poly import Polynomial, _compose_over, squarefree_decompose
 from corrforms.ratfunc import RationalFunction
 from corrforms.serialize import scalar_str
 from corrforms.sweep import chebyshev, decompose_power_pair
@@ -82,7 +82,7 @@ CASES = {
         "cannot mix GF(7) and QQ",
     ),
     "compose_order_below_degree": (
-        lambda: compose_with_quotient(T**2, T, qp(1), 1), ValueError, "order must be at least deg(poly)"
+        lambda: _compose_over(T, qp(1), [(T**2, 1)]), ValueError, "order must be at least deg(poly)"
     ),
     "squarefree_of_zero": (
         lambda: squarefree_decompose(ZERO), ValueError, "cannot squarefree-decompose the zero polynomial"

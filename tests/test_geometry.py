@@ -46,6 +46,7 @@ from corrforms.poly import Polynomial, gcd_monic, squarefree_decompose
 from corrforms.ratfunc import RationalFunction, _wronskian
 
 from conftest import (
+    derivative_by_quotient_rule,
     divisor_by_refinement,
     fp,
     pullback_by_ratfunc,
@@ -89,8 +90,6 @@ def test_rational_function_arithmetic():
     assert (a - a).is_zero
     assert a / a == RationalFunction.constant(QQ, 1)
     assert a**-2 == rf(t**2, qp(1))
-    assert b.derivative() == rf(qp(1), (t + 1) ** 2)
-    assert a.derivative() == rf(qp(-1), t**2)
 
 
 def test_rational_function_compose_and_call():
@@ -139,12 +138,12 @@ def test_is_separable_is_the_nonzero_derivative():
             if den.is_zero or rf(num, den).is_constant:
                 continue
             sigma = RationalMap(rf(num, den))
-            assert sigma.is_separable == (not sigma.body.derivative().is_zero), sigma
+            assert sigma.is_separable == (not derivative_by_quotient_rule(sigma.body).is_zero), sigma
             seen.add((sigma.is_polynomial, sigma.is_separable))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
     t = fp(5, 0, 1)
     sigma = RationalMap(rf(t**5 + 1, t**5 + 2))
-    assert not sigma.is_separable and sigma.body.derivative().is_zero
+    assert not sigma.is_separable and derivative_by_quotient_rule(sigma.body).is_zero
     verdict = is_tame(sigma)
     assert verdict.tame is False and verdict.witness == "inseparable"
 
@@ -384,16 +383,11 @@ def test_divisor_refinement_and_arithmetic():
     # overlapping components get split into coprime pieces
     d = Divisor(QQ, [(t * (t - 1), 1), (t, 2)], 0)
     assert d.affine == ((t - 1, 1), (t, 3))
-    assert d.multiplicity_at(t) == 3
-    assert d.multiplicity_at(Fraction(0)) == 3
-    assert d.multiplicity_at(t - 1) == 1
-    assert d.multiplicity_at(t + 5) == 0
-    assert d.multiplicity_at(Fraction(7)) == 0
     e = d + Divisor(QQ, [(t - 1, -1)], 2)
     assert e.affine == ((t, 3),)
     assert e.at_infinity == 2
     assert (d - d).is_zero
-    assert (2 * d).multiplicity_at(t) == 6
+    assert (2 * d).affine == ((t - 1, 2), (t, 6))
     assert d.degree() == 4
     assert d.support_size() == 2
     assert d.affine_support_size() == 2
@@ -516,10 +510,8 @@ def test_riemann_hurwitz_rational_maps_with_poles():
             sigma, c, e = _random_map_with_pole(rng, field)
             r = ramification_divisor(sigma)
             assert r.degree() == 2 * sigma.degree - 2
-            if e >= 2:
-                assert r.multiplicity_at(c) == e - 1
-            else:
-                assert r.multiplicity_at(c) == 0
+            # the one cluster of R_sigma through c carries e - 1; e = 1 puts c in none
+            assert [m for g, m in r.affine if not g(c)] == ([e - 1] if e >= 2 else [])
 
 
 def test_ramification_places_nontrivial():

@@ -2,8 +2,8 @@
 module-level helper has a caller, no module-level function or class is
 defined in two modules, no module imports process, thread or subprocess
 machinery, importing the package loads no process pool and neither
-dataclasses nor inspect, and every name the benchmark's tracer hooks still
-exists.
+dataclasses nor inspect, every name the benchmark's tracer hooks still
+exists, and the retired second entry points stay retired.
 
 The package's __init__ is exempt from the import check: it imports names
 to re-export them.
@@ -136,3 +136,22 @@ def test_benchmark_tracer_finds_every_hooked_name():
     finally:
         tracer.uninstall()
     assert tracer.missing == []
+
+
+# one routine per job: Horner composition is poly._compose_over, a derivative
+# is Polynomial.derivative (the quotient rule on num and den), and a divisor's
+# multiplicities are read off Divisor.affine
+RETIRED = [
+    ("poly", "compose_with_quotient"),
+    ("ratfunc", "RationalFunction.derivative"),
+    ("geometry", "Divisor.multiplicity_at"),
+]
+
+
+@pytest.mark.parametrize("module, name", RETIRED, ids=[name for _, name in RETIRED])
+def test_retired_second_entry_points_are_gone(module, name):
+    obj = importlib.import_module(f"corrforms.{module}")
+    *owners, last = name.split(".")
+    for owner in owners:
+        obj = getattr(obj, owner)
+    assert not hasattr(obj, last), f"corrforms.{module}.{name} is back"

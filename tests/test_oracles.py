@@ -29,7 +29,10 @@ from the leading coefficients and decides semi-invariance as L - lambda R == 0.
 The divisor and the conductor come from sqf_list and the degrees at infinity,
 and the bound from Riemann-Hurwitz, deg R_sigma = 2 deg sigma - 2.  Its JSON
 must equal `corrforms check` stdout on every document of the benchmark's
-cli_qq pool, and Theorem 3 is checked on every weight-1 hit of that pool.
+cli_qq pool and on seeded documents that pool cannot produce: maps given
+as num/den, forms whose order at infinity is positive or negative, and the
+semi-invariant pairs (s, c s + e) and (k1 s^m, k2 s^h) of a rational map s.
+Theorem 3 is checked on every weight-1 hit of the pool.
 """
 
 import importlib
@@ -45,6 +48,7 @@ from sympy.polys.fields import field as fraction_field
 from sympy.polys.rings import ring
 
 from corrforms.cli import main
+from corrforms.errors import CorrformsError, InputFormatError
 from corrforms.field import GF, QQ
 from corrforms.invariance import (
     Correspondence,
@@ -54,7 +58,8 @@ from corrforms.invariance import (
     semi_invariance_ratio,
 )
 from corrforms.poly import Polynomial
-from corrforms.serialize import document_from_json
+from corrforms.ratfunc import RationalFunction
+from corrforms.serialize import document_from_json, poly_to_json
 from corrforms.sweep import decompose_power_pair, multiplicative_pair
 
 from conftest import qq_pairs, random_poly
@@ -224,6 +229,13 @@ def sympy_eval(coeffs, x):
     return acc
 
 
+def sympy_map(data, x):
+    """A document's map, a coefficient list or {"num": [...], "den": [...]}, at x in Q(t)."""
+    if isinstance(data, dict):
+        return sympy_eval(data["num"], x) / sympy_eval(data["den"], x)
+    return sympy_eval(data, x)
+
+
 def quotient_rule(x):
     """x' for x = n/d in Q(t), as (n' d - n d')/d^2."""
     n, d = x.numer, x.denom
@@ -241,16 +253,16 @@ def fraction_str(q):
 
 def sympy_check(doc):
     """The stdout of `corrforms check` on a Q document with an embedded form."""
-    maps = [sympy_eval(doc[key], T) for key in ("sigma1", "sigma2")]
+    maps = [sympy_map(doc[key], T) for key in ("sigma1", "sigma2")]
     if "mobius" in doc:  # phi o sigma o phi^{-1} for phi = (a t + b)/(c t + d)
         a, b, c, d = (sympy_scalar(doc["mobius"][k]) for k in "abcd")
         back = (d * T - b) / (a - c * T)
-        maps = [(a * s + b) / (c * s + d) for s in (sympy_eval(doc[key], back) for key in ("sigma1", "sigma2"))]
+        maps = [(a * s + b) / (c * s + d) for s in (sympy_map(doc[key], back) for key in ("sigma1", "sigma2"))]
     form, nu = doc["omega"], doc["omega"]["weight"]
     left, right = (sympy_eval(form["num"], s) / sympy_eval(form["den"], s) * quotient_rule(s) ** nu for s in maps)
     lam = leading(left) / leading(right)
     semi = left - lam * right == 0
-    coeff = sympy_eval(form["num"], T) / sympy_eval(form["den"], T)
+    coeff = QT(sympy_eval(form["num"], T) / sympy_eval(form["den"], T))  # a constant quotient leaves Q(t)
     affine = sorted(
         [(g, k) for g, k in coeff.numer.sqf_list()[1]] + [(g, -k) for g, k in coeff.denom.sqf_list()[1]],
         key=lambda gk: gk[1],
@@ -287,6 +299,76 @@ def test_check_matches_sympy_on_the_benchmark_pool(gen, tmp_path, capsys):
         assert (code, out, err) == (0, sympy_check(doc), ""), (family, doc)
         verdicts.append(json.loads(out)["semi_invariant"])
     assert len(verdicts) == 288 and {True, False} <= set(verdicts)
+
+
+def seeded_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def seeded_coeffs(rng, degree):
+    """Ascending coefficient strings of a polynomial of exactly the given degree."""
+    cs = [seeded_fraction(rng) for _ in range(degree)] + [seeded_fraction(rng) or Fraction(1)]
+    return [str(c) for c in cs]
+
+
+def seeded_check_documents(rng):
+    """Q documents with polynomial or num/den maps, an optional Mobius map with c != 0,
+    and forms of weight -2..3.  Besides random pairs and forms, two semi-invariant
+    families of a rational map s, each form times a scalar: (s, c s + e) with
+    (dt)^nu / (t - x)^j for x = e/(1 - c), and (k1 s^m, k2 s^h), whose denominators
+    differ, with (dt/t)^nu."""
+    t = Polynomial.variable(QQ)
+    while True:
+        nu, family = rng.choice((-2, -1, 1, 2, 3)), rng.randrange(3)
+        if family < 2:
+            s = RationalFunction(*(Polynomial(QQ, seeded_coeffs(rng, rng.randint(a, 3))) for a in (1, 0)))
+            if s.is_constant:
+                continue
+            if family == 0:
+                c, e = seeded_fraction(rng) or Fraction(2), seeded_fraction(rng)
+                if c == 1:
+                    continue
+                pair = (s, s * c + e)
+                x, j = t - e / (1 - c), rng.randint(-3, 3)
+                f, g = x ** max(-j, 0), x ** max(j, 0)
+            else:
+                m = rng.randint(2, 3)
+                k1, k2 = (seeded_fraction(rng) or Fraction(1) for _ in "12")
+                pair = (s**m * k1, s ** rng.randint(1, m - 1) * k2)
+                f, g = t ** max(-nu, 0), t ** max(nu, 0)
+            maps = [{"num": poly_to_json(sigma.num), "den": poly_to_json(sigma.den)} for sigma in pair]
+            form = {"num": poly_to_json(f * (seeded_fraction(rng) or Fraction(1))), "den": poly_to_json(g)}
+        else:
+            d1, d2 = rng.randint(1, 5), rng.randint(1, 4)
+            maps = [seeded_coeffs(rng, d) for d in (d1, d2)]
+            if rng.random() < 0.5:
+                maps = [{"num": m, "den": seeded_coeffs(rng, rng.randint(1, 3))} for m in maps]
+            form = {"num": seeded_coeffs(rng, rng.randint(0, 4)), "den": seeded_coeffs(rng, rng.randint(0, 4))}
+        doc = {"sigma1": maps[0], "sigma2": maps[1], "omega": dict(form, weight=nu)}
+        if rng.random() < 0.25:
+            doc["mobius"] = {"a": "2", "b": str(seeded_fraction(rng)), "c": str(rng.randint(1, 3)), "d": "1"}
+        try:
+            document_from_json(doc).corr
+        except (CorrformsError, InputFormatError):  # a constant map, or a singular Mobius map
+            continue
+        yield doc
+
+
+def test_check_matches_sympy_on_seeded_documents(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    docs = seeded_check_documents(random.Random("sympy check beyond the pool"))
+    seen = []
+    for _ in range(90):
+        doc = next(docs)
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (0, sympy_check(doc), ""), doc
+        got = json.loads(out)
+        seen.append((got["semi_invariant"], got["divisor"]["infinity"] > 0, isinstance(doc["sigma1"], dict)))
+    assert {s for s, _, _ in seen} == {True, False}
+    assert {k for _, k, _ in seen} == {True, False}
+    assert {r for _, _, r in seen} == {True, False}
 
 
 def test_theorem3_on_the_benchmark_pool(gen):

@@ -20,7 +20,6 @@ from corrforms.poly import (
     Polynomial,
     _compose_over,
     _divmod_raw,
-    compose_with_quotient,
     gcd_monic,
     radical,
     squarefree_decompose,
@@ -129,7 +128,7 @@ def test_zero_composes_to_zero(field):
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1)], ids=["QQ", "GF7", "GF2147483647"])
 def test_one_composition_over_a_quotient_equals_one_call_per_polynomial(field):
     # _compose_over builds the powers of den once for every outer polynomial;
-    # each result must be the single compose_with_quotient call, and the
+    # each result must be the one-pair call for that polynomial alone, and the
     # Polynomial-level Horner oracle, at orders up to 3 above the degree
     rng = random.Random(f"compose over {field!r}")
 
@@ -144,7 +143,7 @@ def test_one_composition_over_a_quotient_equals_one_call_per_polynomial(field):
         rng.shuffle(polys)
         pairs = [(f, max(f.degree, 0) + rng.randint(0, 3)) for f in polys]
         got = _compose_over(num, den, pairs)
-        assert got == [compose_with_quotient(f, num, den, order) for f, order in pairs]
+        assert got == [_compose_over(num, den, [(f, order)])[0] for f, order in pairs]
         assert got == [horner_by_polynomials(f, num, den, order) for f, order in pairs]
     t = Polynomial.variable(field)
     assert _compose_over(t, t + 1, []) == []

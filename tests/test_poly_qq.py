@@ -8,7 +8,7 @@ and scalars are compared with sympy.polys.densearith.dup_mul over QQ; the
 extreme operands put +-bound, the largest value a slot must hold, into every
 product coefficient.
 
-Composition (compose_with_quotient) clears its three inputs to integers
+Composition (_compose_over) clears its three inputs to integers
 and runs Horner's rule on integer vectors; it is compared with the loop on
 Polynomial objects that it replaced (conftest.horner_by_polynomials) on
 seeded inputs: the zero polynomial, a zero numerator, the denominator 1,
@@ -37,7 +37,7 @@ from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.sqfreetools import dup_sqf_list
 
 from corrforms.field import QQ
-from corrforms.poly import Polynomial, compose_with_quotient, gcd_monic, squarefree_decompose
+from corrforms.poly import Polynomial, _compose_over, gcd_monic, squarefree_decompose
 
 from conftest import horner_by_polynomials
 
@@ -175,12 +175,12 @@ def composition_cases(height):
 @pytest.mark.parametrize("height", HEIGHTS, ids=lambda h: f"2**{h.bit_length() - 1}")
 def test_compose_with_quotient_matches_polynomial_horner(height):
     for poly, num, den, order in composition_cases(height):
-        got = compose_with_quotient(poly, num, den, order)
+        got = _compose_over(num, den, [(poly, order)])[0]
         assert got == horner_by_polynomials(poly, num, den, order)
         assert all(type(c) is Fraction for c in got.coeffs)
         if poly.degree >= 1:
             with pytest.raises(ValueError, match="order must be at least deg"):
-                compose_with_quotient(poly, num, den, poly.degree - 1)
+                _compose_over(num, den, [(poly, poly.degree - 1)])
 
 
 def squarefree_inputs():
