@@ -15,7 +15,7 @@ import sys
 
 from .errors import CorrformsError, InputFormatError, NormalizationRequired, UnsupportedEqualDegrees
 from .field import QQ
-from .geometry import divisor_of_form
+from .geometry import divisor_of_form, pullback
 from .invariance import (
     Correspondence,
     _moved_by_affine,
@@ -68,11 +68,25 @@ def _load_document(path):
 
 
 def cmd_check(args):
+    """Decide sigma1^* omega = lambda sigma2^* omega and compare the conductor with the bound.
+
+    With a mobius phi the document's pair is phi sigma_i phi^{-1}, and
+    (phi sigma_i phi^{-1})^* omega = (phi^{-1})^* sigma_i^* (phi^* omega), so
+    the given pair decides it against phi^* omega, with the same lambda.  It
+    gives the same bound too: conjugation keeps both degrees, and
+    Riemann-Hurwitz fixes deg R_sigma = 2 deg sigma - 2.  The caps are checked
+    on omega as given, and the divisor and conductor are omega's.  Only a
+    refusal conjugates (_given_pair_first).
+    """
     doc = _load_document(args.file)
-    corr = doc.corr  # a Mobius document conjugates here, before --omega is read
+    _emit(_given_pair_first(doc, lambda corr, phi: _check(doc, corr, phi, args.omega)))
+
+
+def _check(doc, corr, phi, omega_path):
+    """check's output for corr, deciding semi-invariance against phi^* omega when phi is not None."""
     omega = doc.omega
-    if args.omega:
-        omega = form_from_json(doc.field, _read_json(args.omega), "omega")
+    if omega_path:
+        omega = form_from_json(doc.field, _read_json(omega_path), "omega")
     if omega is None:
         raise InputFormatError("check needs a form: embed \"omega\" or pass --omega FILE")
     n = max(omega.coeff.num.degree, omega.coeff.den.degree)
@@ -87,7 +101,7 @@ def cmd_check(args):
             f"check: n = {n} must be at most {_MAX_CHECK_FORM_DEGREE},"
             " where n is the larger degree of omega's num and den"
         )
-    ratio = semi_invariance_ratio(corr, omega)
+    ratio = semi_invariance_ratio(corr, omega if phi is None else pullback(phi.as_map(), omega))
     div = divisor_of_form(omega)
     out = {
         "semi_invariant": ratio is not None,
@@ -105,7 +119,25 @@ def cmd_check(args):
         else:
             out["bound"] = scalar_str(bound)
             out["holds"] = out["conductor"] <= bound
-    _emit(out)
+    return out
+
+
+def _given_pair_first(doc, job):
+    """job(given pair, phi) for a document with a mobius phi; job(doc.corr, None) without one, or on a refusal.
+
+    Pullback is functorial, so the given pair answers for phi sigma_i phi^{-1}
+    once job moves the form or the answer by phi.  Any CorrformsError on the
+    given pair is dropped and job runs again on doc.corr, the conjugated
+    pair, so that every message names the conjugated maps, in the order the
+    conjugate-first path meets them: a refused pair before any --omega read.
+    """
+    phi = doc.mobius
+    if phi is not None:
+        try:
+            return job(Correspondence(*doc.given_maps), phi)
+        except CorrformsError:
+            pass
+    return job(doc.corr, None)
 
 
 def _solve(doc, solver, *args, needs=("flat-form solvers need", "solve")):
@@ -129,20 +161,21 @@ def cmd_detect(args):
 
     Conjugation by phi(t) = alpha t + beta keeps polynomial maps polynomial and
     moves the unique flat answer by phi, so the given pair is solved on its own
-    coefficients and only the parameters move.  A refusal of the given pair is
-    raised again by doc.corr, whose message names the conjugated maps.
+    coefficients and only the parameters move.  With c != 0 the conjugated
+    maps are rational, and _solve names the mobius in the refusal.
     """
     _emit(group_report_to_json(_detect(_load_document(args.file))))
 
 
 def _detect(doc):
-    phi = doc.mobius
-    if phi is not None and not phi.c:
-        try:
-            return _moved_by_affine(find_primitive(Correspondence(*doc.given_maps)), phi)
-        except CorrformsError:
-            pass
-    return _solve(doc, find_primitive)
+    if doc.mobius is not None and doc.mobius.c:
+        return _solve(doc, find_primitive)
+    return _given_pair_first(doc, _found_and_moved)
+
+
+def _found_and_moved(corr, phi):
+    report = find_primitive(corr)
+    return report if phi is None else _moved_by_affine(report, phi)
 
 
 def cmd_sweep(args):

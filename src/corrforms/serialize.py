@@ -146,9 +146,11 @@ class ParsedDocument:
 
     corr is the Correspondence of the maps after the Mobius change,
     phi o sigma o phi^{-1}.  Without a mobius it is built at load, so an
-    inseparable map fails there; with one it is built on first use, so a
-    caller that solves the given pair and moves the answer by phi never
-    conjugates.
+    inseparable map fails there; with one it is built on first use.  So a
+    caller that works on the given pair and moves the form or the answer by
+    phi, as `check` does for any phi and `detect` for an affine one,
+    conjugates only when the given pair is refused, to name the conjugated
+    maps in the message.
     """
 
     __slots__ = ("field", "omega", "mobius", "given_maps", "_corr")

@@ -671,7 +671,8 @@ def test_check_computes_each_quantity_once(tmp_path, capsys, count_check_quantit
     "doc", [CUBIC_PAIR, {**CUBIC_PAIR, "field": {"Fp": 7}}, CHEB_SHIFTED], ids=["cubic", "cubic_gf7", "chebyshev_mobius"]
 )
 def test_check_builds_one_wronskian_per_map(tmp_path, capsys, monkeypatch, doc):
-    # the pullback, the separability test over F_p and deg R_sigma all read the map's one W
+    # the pullback, the separability test over F_p and deg R_sigma all read the map's one W;
+    # with a mobius phi, check pulls omega back along phi too, so phi is a third map
     bodies = []
 
     def counted(body):
@@ -681,7 +682,7 @@ def test_check_builds_one_wronskian_per_map(tmp_path, capsys, monkeypatch, doc):
     monkeypatch.setattr("corrforms.geometry._wronskian", counted)
     code, out, err = run_cli(capsys, "check", write_doc(tmp_path, "doc.json", doc))
     assert code == 0 and err == "" and json.loads(out)["holds"] is True
-    assert len(bodies) == len(set(bodies)) == 2
+    assert len(bodies) == len(set(bodies)) == (3 if "mobius" in doc else 2)
 
 
 def test_installed_entry_point():
@@ -711,8 +712,8 @@ CHEB_PAIR_MOD_3 = {
           lambda a: SquarefreeDecomposition(a.leading, ((a.monic(), 5),))),
          "ramification index exceeded map degree"),
         # a Horner pass that returns t/1 makes the conjugate phi itself, of degree 1;
-        # detect on an affine document solves the given pair and never conjugates
-        ("check", CHEB_SHIFTED, ("corrforms.geometry._compose_raw", lambda num, den, pairs: [([0, 1], 1), ([1], 1)]),
+        # detect and check solve the given pair and never conjugate, decompose still does
+        ("decompose", CHEB_SHIFTED, ("corrforms.geometry._compose_raw", lambda num, den, pairs: [([0, 1], 1), ([1], 1)]),
          "conjugation changed the degree"),
         # (t^3, t^2) has the degenerate weight-2 form (dt)^2/t^2 once dt/t is hidden
         ("detect", {"sigma1": ["0", "0", "0", "1"], "sigma2": ["0", "0", "1"]},
@@ -808,7 +809,7 @@ def test_pinned_affine_gf101_document_is_the_one_ci_checks():
 
 @pytest.mark.parametrize("doc", [CHEB_SHIFTED, CHEB_SHIFTED_GF7], ids=["QQ", "GF7"])
 def test_detect_on_an_affine_mobius_document_conjugates_nothing(tmp_path, capsys, monkeypatch, doc):
-    # the given pair is solved and its answer moved by phi; check still conjugates both maps
+    # the given pair is solved and its answer moved by phi; check decides it against phi^* omega
     calls = []
     original = geometry.mobius_conjugate
 
@@ -823,7 +824,28 @@ def test_detect_on_an_affine_mobius_document_conjugates_nothing(tmp_path, capsys
     assert (code, err) == (0, "") and json.loads(out)["status"] == "cyclic"
     assert calls == []
     assert run_cli(capsys, "check", path)[0] == 0
-    assert len(calls) == 2
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [CHEB_SHIFTED, CHEB_SHIFTED_GF7, RATIONAL_MOBIUS_PAIR, {**RATIONAL_MOBIUS_PAIR, "field": {"Fp": 7}}],
+    ids=["QQ", "GF7", "rational_QQ", "rational_GF7"],
+)
+def test_check_on_a_mobius_document_conjugates_nothing(tmp_path, capsys, monkeypatch, doc):
+    # any phi, c = 0 or not: the given pair decides semi-invariance against phi^* omega
+    calls = []
+    original = geometry.mobius_conjugate
+
+    def counted(sigma, phi):
+        calls.append(sigma)
+        return original(sigma, phi)
+
+    for module in (geometry, serialize):
+        monkeypatch.setattr(module, "mobius_conjugate", counted)
+    code, out, err = run_cli(capsys, "check", write_doc(tmp_path, "doc.json", doc))
+    assert (code, err) == (0, "") and json.loads(out)["holds"] is True
+    assert calls == []
 
 
 MOBIUS_REFUSAL = (
