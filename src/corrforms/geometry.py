@@ -380,7 +380,11 @@ class Tameness(NamedTuple):
 
 
 def is_tame(sigma):
-    """Tameness verdict: every ramification index coprime to the characteristic."""
+    """Tameness verdict: every ramification index coprime to the characteristic.
+
+    Raises WildInput instead where squarefree_decompose refuses the Wronskian,
+    0 < p <= deg sigma (t^3 + t over F_2), until that extracts p-th roots.
+    """
     if sigma.field.characteristic == 0:
         # a nonconstant map is separable, and every index is tame, in characteristic 0
         return Tameness(True)

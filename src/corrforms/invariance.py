@@ -33,7 +33,7 @@ from .geometry import (
     conductor,
     divisor_of_form,
 )
-from .poly import Polynomial, _integer_parts, _mul_raw, _normalized
+from .poly import _SCREEN_PRIME, Polynomial, _integer_parts, _mul_raw, _normalized
 from .ratfunc import RationalFunction
 
 
@@ -153,12 +153,15 @@ def _solve_flat(corr, nu):
     and from R = V_nu, s = 1 and the top pivot pv = V_i[k] down,
     c_i (e1 e2)^(nu - i) = -R[k] / (s pv), R <- pv R - R[k] V_i, s <- s pv.
     Only a zero final R is a solution.  Over F_p the same lines run on
-    residues, with e_i = 1 (README, "One fraction-free solver").
+    residues, with e_i = 1 (README, "One fraction-free solver").  Most systems
+    with no solution are refused before any product, by _refused_at_points.
     """
     s1, s2 = _solver_inputs(corr)
     field, d1, d2 = corr.field, corr.d1, corr.d2
     p = field.characteristic
     (n1, e1), (n2, e2) = _integer_parts(s1.coeffs), _integer_parts(s2.coeffs)
+    if _refused_at_points(n1, e1, n2, e2, d1, d2, nu, p):
+        return None
 
     def reduced(v):
         return [c % p for c in v] if p else v
@@ -188,6 +191,44 @@ def _solve_flat(corr, nu):
     # over F_p each den is a product of pivots, nonzero residues, so p divides none
     coeffs = [field.scalar(Fraction(-r, den)) for r, den in reversed(ys)]
     return coeffs, field.scalar(Fraction(d1**nu, d2**nu))
+
+
+_SCREEN_POINT = 10**10 + 19  # a prime above GF's cap: j x, j = 1..nu + 1, are distinct mod every p > nu
+
+
+def _refused_at_points(n1, e1, n2, e2, d1, d2, nu, p):
+    """True when _solve_flat's system has no solution, shown by V_0..V_nu at nu + 1 points.
+
+    A solution is a relation sum z_i V_i = 0 with z_nu != 0; over Q, scale z to
+    a primitive integer vector.  Mod a prime q, z stays nonzero and
+    annihilates the matrix [V_i(x_j)], so det = 0 mod q.  A unit determinant
+    thus refuses the system; every zero one lets the solve run.  q is p over
+    F_p and _SCREEN_PRIME over Q.  The points x_j = j _SCREEN_POINT avoid 0,
+    +-1 and +-2, where Chebyshev maps agree with their flat forms.
+    """
+    q = p or _SCREEN_PRIME
+    rows = []
+    for j in range(1, nu + 2):
+        x, ends = j * _SCREEN_POINT % q, []
+        for n in (n1, n2):  # n(x) and n'(x) by one Horner pass
+            value = slope = 0
+            for c in reversed(n):
+                slope, value = (slope * x + value) % q, (value * x + c) % q
+            ends += (value, slope)
+        v1, t1, v2, t2 = ends
+        left, right, row = pow(d2 * e2 * t1, nu, q), pow(d1 * e1 * t2, nu, q), []
+        for _ in range(nu + 1):  # V_i(x) = left m2(x)^i - right m1(x)^i
+            row.append((left - right) % q)
+            left, right = left * e1 * v2 % q, right * e2 * v1 % q
+        rows.append(row)
+    while rows:  # elimination on the first column, fraction-free: it keeps det = 0 or not
+        pivot = next((r for r in rows if r[0]), None)
+        if pivot is None:
+            return False
+        rows.remove(pivot)
+        a = pivot[0]
+        rows = [[(a * x - r[0] * y) % q for x, y in zip(r[1:], pivot[1:])] for r in rows]
+    return True
 
 
 def solve_weight1_flat(corr):

@@ -7,6 +7,7 @@ seeded random.Random instance created inside the test that uses it.
 import importlib
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +265,13 @@ def divisor_by_refinement(field, components, at_infinity=0):
 
 def frac(num, den=1):
     return Fraction(num, den)
+
+
+@pytest.fixture
+def gen(monkeypatch):
+    """perfbench/gen.py, the benchmark's document generator."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("gen")
 
 
 @pytest.fixture

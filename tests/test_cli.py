@@ -785,7 +785,7 @@ def test_every_pinned_document_has_a_pin_and_every_pin_its_document(capsys):
     orphans = sorted(pin for pin in pins if pin.split("_", 1)[1] not in stems)
     unpinned = sorted(stem for stem in stems if not any(f"{c}_{stem}" in pins for c in PIN_COMMANDS))
     assert (orphans, unpinned) == ([], [])
-    assert len(stems) == 7 and len(pins) == 9
+    assert len(stems) == 8 and len(pins) == 10
     for pin in sorted(pins):
         command, stem = pin.split("_", 1)
         expected = (CLI_OUTPUT / f"{pin}.txt").read_text(encoding="utf-8")
@@ -805,6 +805,20 @@ def test_pinned_affine_mobius_document_is_the_one_ci_checks():
 def test_pinned_affine_gf101_document_is_the_one_ci_checks():
     # and on this one, over F_101 with d != 1
     assert json.loads((CLI_OUTPUT / "cheb_shifted_gf101.json").read_text(encoding="utf-8")) == CHEB_SHIFTED_GF101
+
+
+def test_pinned_sweep_trivial_document_is_the_benchmark_pair(gen):
+    # the sweep_fp pair (12, 5) that no flat form fits: the solvers' evaluation
+    # screen refuses nearly every system it meets, and CI runs the installed sweep on it
+    assert json.loads((CLI_OUTPUT / "sweep_trivial_12_5.json").read_text(encoding="utf-8")) == gen.sweep_docs()["trivial"]
+
+
+def test_sweep_of_the_trivial_benchmark_pair_prints_its_pinned_output(capsys):
+    # pinned before the screen, over 2..1000 as the CI packaging step runs it
+    expected = (CLI_OUTPUT / "sweep_sweep_trivial_12_5.txt").read_text(encoding="utf-8")
+    doc = str(CLI_OUTPUT / "sweep_trivial_12_5.json")
+    assert run_cli(capsys, "sweep", doc, "--pmin", "2", "--pmax", "1000") == (0, expected, "")
+    assert len(expected.splitlines()) == 169
 
 
 @pytest.mark.parametrize("doc", [CHEB_SHIFTED, CHEB_SHIFTED_GF7], ids=["QQ", "GF7"])

@@ -815,6 +815,16 @@ def test_wild_affine_structure_rejected():
         is_tame(sigma)
 
 
+@pytest.mark.xfail(
+    raises=WildInput, strict=True,
+    reason="squarefree_decompose refuses the Wronskian t^2 + 1 = (t + 1)^2 over F_2 (ROADMAP item 5)",
+)
+def test_is_tame_reports_a_wild_affine_place_when_p_is_at_most_the_degree():
+    # t^3 + t over F_2 has e = 2 at t = 1, a wild place; the true verdict names it
+    t = fp(2, 0, 1)
+    assert is_tame(RationalMap(t**3 + t)) == Tameness(False, t + 1)
+
+
 def test_ramification_places_once_per_map(count_ramification_places):
     t = fp(7, 0, 1)
     sigma = RationalMap(rf(t**3 + 2 * t, t**2 + 3))

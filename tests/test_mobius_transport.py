@@ -11,11 +11,9 @@ must print, byte for byte and refusals included, what `check` prints on the
 conjugated pair with omega as given.
 """
 
-import importlib
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -108,13 +106,6 @@ def _pair(rng, field, kind):
             pair = [Polynomial(field, [field.scalar(c) for c in s.coeffs]) for s in pair]
         return [mobius_conjugate(RationalMap(s), psi).polynomial for s in pair]
     return [Polynomial(field, [_scalar(rng, field) for _ in range(d)] + [field.one()]) for d in (m, h)]
-
-
-@pytest.fixture
-def gen(monkeypatch):
-    """perfbench/gen.py, the benchmark's document generator."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    return importlib.import_module("gen")
 
 
 def test_detect_matches_conjugation_on_every_chebyshev_pool_document(tmp_path, capsys, gen):

@@ -35,12 +35,10 @@ semi-invariant pairs (s, c s + e) and (k1 s^m, k2 s^h) of a rational map s.
 Theorem 3 is checked on every weight-1 hit of the pool.
 """
 
-import importlib
 import json
 import random
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import pytest
 import sympy
@@ -194,9 +192,7 @@ def test_detect_matches_linsolve_on_seeded_pairs(den_bits):
     assert found.count(1) >= 6 and found.count(2) >= 6 and found.count(0) >= 6
 
 
-def test_detect_matches_linsolve_on_benchmark_documents(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    gen = importlib.import_module("gen")
+def test_detect_matches_linsolve_on_benchmark_documents(gen):
     found = [
         assert_detect_matches_linsolve(document_from_json(doc).corr)
         for family, docs in gen.cli_docs(7)
@@ -204,13 +200,6 @@ def test_detect_matches_linsolve_on_benchmark_documents(monkeypatch):
         for doc in docs
     ]
     assert len(found) == 216 and {0, 1, 2} <= set(found)
-
-
-@pytest.fixture
-def gen(monkeypatch):
-    """perfbench/gen.py, the benchmark's document generator."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    return importlib.import_module("gen")
 
 
 QT, T = fraction_field("t", sympy.QQ)

@@ -7,7 +7,9 @@ derived by hand (p = 3 makes the sextic inseparable, leading coefficients
 vanish when p divides them, and so on).
 """
 
+import hashlib
 import importlib
+import json
 import os
 import random
 import subprocess
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from corrforms.cli import main
 from corrforms.errors import InputFormatError, UnsupportedCharacteristic
 from corrforms.field import GF, QQ, FpElement, is_prime
 from corrforms.geometry import RationalMap
@@ -478,3 +481,19 @@ def test_decompose_power_pair_exponent_oracle():
             sigma = sigma * (t - c) ** (ai // m)
         assert got == Decomposition(sigma, m, h, lam1, lam2), (roots, a, b)
     assert all(seen.values()) and 0 < found < sum(seen.values())
+
+
+def test_cli_sweep_to_1000_matches_the_benchmark_golden_digests(tmp_path, capsys, gen):
+    # the benchmark's whole-range check, at every prime up to 1000 (CI runs the
+    # benchmark at pmax 53 only); golden.json and gen.py are read, not changed
+    golden = json.loads(Path(gen.__file__).with_name("golden.json").read_text(encoding="utf-8"))["sweep"]
+    docs = gen.sweep_docs()
+    assert len(docs) == 4
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["sweep", str(path), "--pmin", "2", "--pmax", "1000"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), name
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16]
+        assert digest == golden[gen.doc_key(doc)]["whole"]["1000"], name
