@@ -29,7 +29,6 @@ polynomial map is the test of tameness at infinity.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     InseparableMap,
     WildRamification,
 )
-from .poly import Polynomial, _compose_over, _compose_raw, _integer_parts, gcd_monic, squarefree_decompose
+from .poly import Polynomial, _compose_over, gcd_monic, squarefree_decompose
 from .ratfunc import RationalFunction, _coprime, _wronskian
 
 
@@ -437,34 +436,18 @@ def _ramification_divisor(sigma, places):
 def mobius_conjugate(sigma, phi):
     """phi o sigma o phi^{-1}; degree is preserved.
 
-    For sigma = A/B of degree n and phi = (a t + b)/(c t + d), cleared to
-    integers, one Horner pass (poly._compose_raw) over
-    phi^{-1} = (d t - b)/(a - c t) gives A~ = (a - c t)^n A(phi^{-1}) and B~
-    likewise, and the result is (a A~ + b B~)/(c A~ + d B~), combined on the
-    integer vectors with one Fraction or residue per coefficient, over the
-    denominator's leading coefficient.  A~ and B~ are coprime for the reason
-    RationalFunction.compose gives, and phi's matrix is invertible, so that
-    pair is coprime too: no gcd is taken.
+    For sigma = A/B of degree n and phi = (a t + b)/(c t + d), one
+    _compose_over call over phi^{-1} = (d t - b)/(a - c t) gives
+    A~ = (a - c t)^n A(phi^{-1}) and B~ likewise, in one Horner pass, and the
+    result is (a A~ + b B~)/(c A~ + d B~), combined as polynomials.  A~ and B~
+    are coprime for the reason RationalFunction.compose gives, and phi's
+    matrix is invertible, so that pair is coprime too: no gcd is taken.
     """
-    field = phi.field
-    p = field.characteristic
-    (a, b, c, d), _ = _integer_parts([field.raw(x) for x in (phi.a, phi.b, phi.c, phi.d)])
-    inv_num, inv_den = Polynomial(field, [-b, d]), Polynomial(field, [a, -c])
+    inv_num, inv_den = Polynomial(phi.field, [-phi.b, phi.d]), Polynomial(phi.field, [phi.a, -phi.c])
     inv_num._check(sigma.body.num)  # phi's field first, as for phi.as_map().compose(sigma)
     n = sigma.degree
-    (va, sa), (vb, sb) = _compose_raw(inv_num, inv_den, [(sigma.body.num, n), (sigma.body.den, n)])
-    num, den = ([e * sb * x + f * sa * y for x, y in zip_longest(va, vb, fillvalue=0)] for e, f in ((a, b), (c, d)))
-    if p:
-        den = [x % p for x in den]
-    while not den[-1]:
-        den.pop()
-    if p:
-        inv = pow(den[-1], -1, p)
-        num, den = ([x * inv % p for x in v] for v in (num, den))
-    else:
-        lead = den[-1]
-        num, den = ([Fraction(x, lead) for x in v] for v in (num, den))
-    out = RationalMap(_coprime(Polynomial._make(field, num), Polynomial._make(field, den)))
+    a_t, b_t = _compose_over(inv_num, inv_den, [(sigma.body.num, n), (sigma.body.den, n)])
+    out = RationalMap(_coprime(a_t * phi.a + b_t * phi.b, a_t * phi.c + b_t * phi.d))
     if out.degree != sigma.degree:
         raise AssertionError("conjugation changed the degree")
     return out

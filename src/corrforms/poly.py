@@ -11,21 +11,19 @@ multiply by Kronecker substitution on integers (``_mul_raw``): F_p on the
 residues, then ``% p``; Q on the numerators over one common denominator,
 then back to Fractions.  Every composition, of polynomials, rational
 functions or a Mobius conjugation, is one Horner's rule on those integer
-lists (``_compose_raw``, which builds the powers of the inner denominator
-once for all outer polynomials and multiplies by a two-term inner list with
-two scalar multiply-adds per coefficient), converted once, at the end
-(``_compose_over``, or ``geometry.mobius_conjugate`` after it combines two
-results).  Division is one schoolbook
-kernel for both fields, which also divides integer vectors exactly;
-``monic`` and ratfunc.py invert raw scalars through ``_inverse``.  The
-public scalar FpElement appears only where a value leaves a polynomial:
-``leading``, ``coefficient`` and evaluation.  Every Euclid mod a prime is
-one loop on residue lists reduced in place (``_euclid_in_place``):
-``gcd_monic`` over F_p, and over Q its screen, which first tries to prove
-coprimality mod 2**31 - 1.  Yun's algorithm runs on monic residue lists
-over F_p and on primitive integer vectors over Q, takes every gcd from
-``gcd_monic`` and checks its characteristic-p result with
-``SquarefreeDecomposition.recompose``.
+lists, ``_compose_over``, which builds the powers of the inner denominator
+once for all outer polynomials, multiplies by a two-term inner list with
+two scalar multiply-adds per coefficient and converts each result once, at
+the end.  Division is one schoolbook kernel for both fields, which also
+divides integer vectors exactly; ``monic`` and ratfunc.py invert raw
+scalars through ``_inverse``.  The public scalar FpElement appears only
+where a value leaves a polynomial: ``leading``, ``coefficient`` and
+evaluation.  Every Euclid mod a prime is one loop on residue lists reduced
+in place (``_euclid_in_place``): ``gcd_monic`` over F_p, and over Q its
+screen, which first tries to prove coprimality mod 2**31 - 1.  Yun's
+algorithm runs on monic residue lists over F_p and on primitive integer
+vectors over Q, takes every gcd from ``gcd_monic`` and checks its
+characteristic-p result with ``SquarefreeDecomposition.recompose``.
 """
 
 from __future__ import annotations
@@ -394,29 +392,18 @@ class Polynomial:
 
 
 def _compose_over(num, den, pairs):
-    """[den**order * poly(num/den) for poly, order in pairs]; needs order >= deg(poly).
+    """[den**order * poly(num/den) for poly, order in pairs], by the one Horner loop; needs order >= deg(poly).
 
-    The loop is _compose_raw's; this wraps each integer vector L and its
-    scale s as a polynomial over num.field, with one Fraction L_i/s per
-    coefficient over Q and the residues as they are over F_p.
+    Each poly = F/d_F and the inner map are cleared to integers: over Q, for
+    num = N/d_N and den = D/d_D, the loop runs at (N d_D)/(D d_N) on integer
+    vectors L, and the result is L / (d_F (d_N d_D)**order), one Fraction per
+    coefficient; over F_p L holds the residues.  The powers of D are built
+    once, for every pair.  A two-term N or D, as for a Mobius map, multiplies
+    in by two scalar multiply-adds per coefficient instead of a packed
+    product (_mul_raw).
     """
     field = num.field
     p = field.characteristic
-    raw = _compose_raw(num, den, pairs)
-    return [Polynomial._make(field, acc if p else [Fraction(c, s) for c in acc]) for acc, s in raw]
-
-
-def _compose_raw(num, den, pairs):
-    """[(L, s) for poly, order in pairs] with L/s = den**order * poly(num/den): the one Horner loop.
-
-    Each poly = F/d_F and the inner map are cleared to integers: over Q, for
-    num = N/d_N and den = D/d_D, the loop runs at (N d_D)/(D d_N), so L is an
-    integer vector and s = d_F (d_N d_D)**order; over F_p L holds residues and
-    s = 1.  The powers of D are built once, for every pair.  A two-term N or
-    D, as for a Mobius map, multiplies in by two scalar multiply-adds per
-    coefficient instead of a packed product (_mul_raw).
-    """
-    p = num.field.characteristic
     (ns, dn), (ds, dd) = _integer_parts(num.coeffs), _integer_parts(den.coeffs)
     ns, ds = [c * dd for c in ns], [c * dn for c in ds]
     dpows = [[1]]  # the powers of D that the loops and the final paddings use
@@ -433,7 +420,9 @@ def _compose_raw(num, den, pairs):
             acc = [x + c * y for x, y in zip_longest(_times(acc, ns, p), dpows[k], fillvalue=0)]
             if p:
                 acc = [x % p for x in acc]
-        out.append((_mul_raw(acc, dpows[order + 1 - len(cs)], p), df * (dn * dd) ** order))
+        acc = _mul_raw(acc, dpows[order + 1 - len(cs)], p)
+        s = df * (dn * dd) ** order
+        out.append(Polynomial._make(field, acc if p else [Fraction(c, s) for c in acc]))
     return out
 
 

@@ -713,7 +713,9 @@ CHEB_PAIR_MOD_3 = {
          "ramification index exceeded map degree"),
         # a Horner pass that returns t/1 makes the conjugate phi itself, of degree 1;
         # detect and check solve the given pair and never conjugate, decompose still does
-        ("decompose", CHEB_SHIFTED, ("corrforms.geometry._compose_raw", lambda num, den, pairs: [([0, 1], 1), ([1], 1)]),
+        ("decompose", CHEB_SHIFTED,
+         ("corrforms.geometry._compose_over",
+          lambda num, den, pairs: [Polynomial.variable(num.field), Polynomial.one(num.field)]),
          "conjugation changed the degree"),
         # (t^3, t^2) has the degenerate weight-2 form (dt)^2/t^2 once dt/t is hidden
         ("detect", {"sigma1": ["0", "0", "0", "1"], "sigma2": ["0", "0", "1"]},
@@ -819,6 +821,43 @@ def test_sweep_of_the_trivial_benchmark_pair_prints_its_pinned_output(capsys):
     doc = str(CLI_OUTPUT / "sweep_trivial_12_5.json")
     assert run_cli(capsys, "sweep", doc, "--pmin", "2", "--pmax", "1000") == (0, expected, "")
     assert len(expected.splitlines()) == 169
+
+
+# sweep and decompose still conjugate a Moebius document's maps; these outputs
+# were pinned before mobius_conjugate became one _compose_over call
+SWEEP_CHEB_SHIFTED_2_60 = (
+    '{"p": 2, "status": "skipped", "guard": false, "reason": "sigma1: inseparable mod 2"}\n'
+    '{"p": 3, "status": "cyclic", "guard": false, "weight": 2, "lambda": "1", "form": {"s": "2", "q": "0"}}\n'
+    '{"p": 5, "status": "cyclic", "guard": false, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "2"}}\n'
+    '{"p": 7, "status": "cyclic", "guard": false, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "4"}}\n'
+    '{"p": 11, "status": "cyclic", "guard": false, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "8"}}\n'
+    '{"p": 13, "status": "cyclic", "guard": false, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "10"}}\n'
+    '{"p": 17, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "14"}}\n'
+    '{"p": 19, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "16"}}\n'
+    '{"p": 23, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "20"}}\n'
+    '{"p": 29, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "26"}}\n'
+    '{"p": 31, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "28"}}\n'
+    '{"p": 37, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "34"}}\n'
+    '{"p": 41, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "38"}}\n'
+    '{"p": 43, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "40"}}\n'
+    '{"p": 47, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "44"}}\n'
+    '{"p": 53, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "50"}}\n'
+    '{"p": 59, "status": "cyclic", "guard": true, "weight": 2, "lambda": "4", "form": {"s": "2", "q": "56"}}\n'
+    '{"summary": {"primes": 17, "good": 16, "skipped": 1, "trivial": 0, "weight1": 0, "weight2": 16, "weight1_evidence": false}}\n'
+)
+
+
+def test_sweep_of_the_affine_mobius_document_prints_its_pinned_output(capsys):
+    argv = ("sweep", str(CLI_OUTPUT / "cheb_shifted.json"), "--pmin", "2", "--pmax", "60")
+    assert run_cli(capsys, *argv) == (0, SWEEP_CHEB_SHIFTED_2_60, "")
+    assert len(SWEEP_CHEB_SHIFTED_2_60.splitlines()) == 18
+
+
+def test_decompose_of_a_mobius_document_prints_its_pinned_output(tmp_path, capsys):
+    # (t^3, t^2) conjugated by phi = 2t: sigma = t, m = 3, h = 2
+    doc = {"sigma1": ["0", "0", "0", "1"], "sigma2": ["0", "0", "1"], "mobius": {"a": "2", "b": "0", "c": "0", "d": "1"}}
+    expected = '{"sigma": ["0", "1"], "m": 3, "h": 2, "lambda1": "1/4", "lambda2": "1/2"}\n'
+    assert run_cli(capsys, "decompose", write_doc(tmp_path, "doc.json", doc)) == (0, expected, "")
 
 
 @pytest.mark.parametrize("doc", [CHEB_SHIFTED, CHEB_SHIFTED_GF7], ids=["QQ", "GF7"])

@@ -3,8 +3,8 @@
 One row per `raise` that no other test reaches: the call, the exception
 type and the exact message.  Two rows pin the field check of a
 composition, with one message: `RationalFunction.compose` reaches the one
-in the Horner loop `_compose_raw`, and `mobius_conjugate` makes its own,
-of phi's field against sigma's, before its one `_compose_raw` call.
+in the Horner loop `_compose_over`, and `mobius_conjugate` makes its own,
+of phi's field against sigma's, before its one `_compose_over` call.
 Not listed, because it cannot be reached:
 `_tame_places`' affine `WildRamification` (geometry.py).  A wild affine
 place of index e has Wronskian order >= e >= p, and `squarefree_decompose`

@@ -145,6 +145,7 @@ RETIRED = [
     ("poly", "compose_with_quotient"),
     ("ratfunc", "RationalFunction.derivative"),
     ("geometry", "Divisor.multiplicity_at"),
+    ("poly", "_compose_raw"),
 ]
 
 

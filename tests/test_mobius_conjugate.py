@@ -1,11 +1,12 @@
 """mobius_conjugate as one Horner pass over phi^{-1}.
 
 For sigma = A/B of degree n and phi = (a t + b)/(c t + d), the conjugate
-phi o sigma o phi^{-1} is built from one `_compose_raw` call, which composes
+phi o sigma o phi^{-1} is built from one `_compose_over` call, which composes
 A and B over phi^{-1} = (d t - b)/(a - c t), and one combination of its two
-integer vectors.  Parity is with the body it replaced, two
-`RationalMap.compose` calls (`conftest.mobius_conjugate_by_compose`),
-coefficient for coefficient and type for type.
+polynomials, (a A~ + b B~)/(c A~ + d B~), that takes no gcd.  Parity is with
+the body it replaced, two `RationalMap.compose` calls
+(`conftest.mobius_conjugate_by_compose`), coefficient for coefficient and
+type for type.
 """
 
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from corrforms import geometry, poly
+from corrforms import geometry, poly, ratfunc
 from corrforms.field import GF, QQ
 from corrforms.geometry import MobiusTransform, RationalMap, mobius_conjugate
 from corrforms.poly import Polynomial, _mul_raw
@@ -98,14 +99,14 @@ def test_phi_inverse_of_infinity_at_a_pole_of_sigma(field, shape):
 
 def test_one_conjugation_is_one_horner_pass(monkeypatch):
     calls = []
-    original = poly._compose_raw
+    original = poly._compose_over
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
     for module in (poly, geometry):
-        monkeypatch.setattr(module, "_compose_raw", counted)
+        monkeypatch.setattr(module, "_compose_over", counted)
     t = Polynomial.variable(QQ)
     sigma = RationalMap(RationalFunction(t**3 + 1, t**2 - 2))
     phi = MobiusTransform(QQ, 2, 1, 1, 1)
@@ -113,6 +114,31 @@ def test_one_conjugation_is_one_horner_pass(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     _same(got, mobius_conjugate_by_compose(sigma, phi))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@pytest.mark.parametrize("affine", [True, False], ids=["affine", "non_affine"])
+def test_a_conjugation_takes_no_gcd(monkeypatch, field, affine):
+    # A~ and B~ are coprime and phi's matrix is invertible, so (a A~ + b B~, c A~ + d B~)
+    # is coprime as combined; at degree 40 Horner builds forty powers of a - c t
+    rng = random.Random(f"mobius gcd:{field!r}:{affine}")
+    shapes = [*SHAPES.values(), (40, 0), (40, 37)]
+    cases = [(_sigma(rng, field, deg_a, deg_b), _mobius(rng, field, affine)) for deg_a, deg_b in shapes]
+    calls = []
+    original = poly.gcd_monic
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (poly, ratfunc, geometry):
+        monkeypatch.setattr(module, "gcd_monic", counted)
+    got = [mobius_conjugate(sigma, phi) for sigma, phi in cases]
+    monkeypatch.undo()
+    assert calls == []
+    assert max(sigma.degree for sigma, _ in cases) >= 40
+    for out, (sigma, phi) in zip(got, cases):
+        _same(out, mobius_conjugate_by_compose(sigma, phi))
 
 
 @pytest.mark.parametrize("p", [0, 7, 2**31 - 1], ids=["QQ", "GF7", "GF2147483647"])
