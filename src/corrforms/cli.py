@@ -217,7 +217,7 @@ def cmd_gen(args):
     if args.family == "multiplicative":
         sigma_coeffs = _parse_json(args.sigma, "--sigma") if args.sigma else ["0", "1"]
         sigma = poly_from_json(QQ, sigma_coeffs, "--sigma")
-        _check_gen_degree(args.m * sigma.degree)
+        _check_gen_degree(args.m * max(sigma.degree, 0))
         try:
             corr = multiplicative_pair(sigma, args.m, args.h)
         except ValueError as exc:

@@ -7,16 +7,15 @@ polynomials, and Yun's algorithm supplies the squarefree decomposition.
 
 Storage contract: ``coeffs`` holds the field's raw values (see field.py),
 Fractions over Q and plain int residues in [0, p) over F_p.  Both fields
-multiply by Kronecker substitution on integers (``_mul_raw``): F_p on the
-residues, then ``% p``; Q on the numerators over one common denominator,
-then back to Fractions.  Every composition, of polynomials, rational
-functions or a Mobius conjugation, is one Horner's rule on those integer
-lists, ``_compose_over``, which builds the powers of the inner denominator
-once for all outer polynomials, multiplies by a two-term inner list with
-two scalar multiply-adds per coefficient and converts each result once, at
-the end.  Division is one schoolbook kernel for both fields, which also
-divides integer vectors exactly; ``monic`` and ratfunc.py invert raw
-scalars through ``_inverse``.  The public scalar FpElement appears only
+multiply through the one integer product ``_mul_raw``, which alone chooses
+how to multiply: F_p on the residues, then ``% p``; Q on the numerators over
+one common denominator, then back to Fractions.  Every composition, of
+polynomials, rational functions or a Mobius conjugation, is one Horner's
+rule on those integer lists, ``_compose_over``, which builds the powers of
+the inner denominator once for all outer polynomials and converts each
+result once, at the end.  Division is one schoolbook kernel for both fields,
+which also divides integer vectors exactly; ``monic`` and ratfunc.py invert
+raw scalars through ``_inverse``.  The public scalar FpElement appears only
 where a value leaves a polynomial: ``leading``, ``coefficient`` and
 evaluation.  Every Euclid mod a prime is one loop on residue lists reduced
 in place (``_euclid_in_place``): ``gcd_monic`` over F_p, and over Q its
@@ -71,7 +70,7 @@ def _slots(x, n, width, code, half=0):
 
 
 def _kronecker_mul(a, b, bound, signed=False):
-    """Product coefficients of integer sequences a and b by one integer multiplication.
+    """Product coefficients of integer sequences a and b by one integer multiplication (see _mul_raw).
 
     Each operand becomes an integer with one byte-aligned slot per coefficient.
     bound caps the absolute value of every product coefficient, a sum of at
@@ -82,9 +81,6 @@ def _kronecker_mul(a, b, bound, signed=False):
     signed slot stores its value plus half the slot range, so packing and
     unpacking stay unsigned; the sign takes one bit of the width.
     """
-    if len(a) == 1 or len(b) == 1:  # a scalar operand needs no packing
-        (k,), cs = (a, b) if len(a) == 1 else (b, a)
-        return [k * c for c in cs]
     width = 1
     while 8 * width < bound.bit_length() + signed:
         width *= 2
@@ -102,18 +98,32 @@ def _integer_parts(cs):
 
 
 def _mul_raw(a, b, p):
-    """a * b for integer coefficient lists: residues in [0, p), reduced mod p, when p > 0; signed when p = 0."""
+    """a * b for integer coefficient lists: residues in [0, p), reduced mod p, when p > 0; signed when p = 0.
+
+    The one product routine.  An operand of one or two terms, in either
+    position, multiplies in by scalar multiply-adds; longer ones are packed.
+    """
     if not a or not b:
         return []
-    if p:
-        return [c % p for c in _kronecker_mul(a, b, min(len(a), len(b)) * (p - 1) ** 2)]
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    # a zero bound means a zero operand; slots sized by it could not hold the other one
-    return _kronecker_mul(a, b, bound, signed=True) if bound else [0] * (len(a) + len(b) - 1)
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (m0,) = a
+        out = [m0 * c for c in b]
+    elif len(a) == 2:
+        m0, m1 = a
+        out = [m0 * x + m1 * y for x, y in zip_longest(b, [0, *b], fillvalue=0)]
+    elif p:
+        out = _kronecker_mul(a, b, len(a) * (p - 1) ** 2)
+    else:
+        bound = len(a) * max(map(abs, a)) * max(map(abs, b))
+        # a zero bound means a zero operand; slots sized by it could not hold the other one
+        return _kronecker_mul(a, b, bound, signed=True) if bound else [0] * (len(a) + len(b) - 1)
+    return [c % p for c in out] if p else out
 
 
 def _mul_qq(a, b):
-    """Product of Fraction sequences, as one Kronecker product of their numerators."""
+    """Product of Fraction sequences, as one _mul_raw product of their numerators."""
     na, da = _integer_parts(a)
     nb, db = (na, da) if b is a else _integer_parts(b)
     d = da * db
@@ -398,9 +408,7 @@ def _compose_over(num, den, pairs):
     num = N/d_N and den = D/d_D, the loop runs at (N d_D)/(D d_N) on integer
     vectors L, and the result is L / (d_F (d_N d_D)**order), one Fraction per
     coefficient; over F_p L holds the residues.  The powers of D are built
-    once, for every pair.  A two-term N or D, as for a Mobius map, multiplies
-    in by two scalar multiply-adds per coefficient instead of a packed
-    product (_mul_raw).
+    once, for every pair.  Every product is one _mul_raw call.
     """
     field = num.field
     p = field.characteristic
@@ -414,25 +422,16 @@ def _compose_over(num, den, pairs):
         if len(cs) > order + 1:
             raise ValueError("order must be at least deg(poly)")
         while len(dpows) <= max(len(cs) - 1, order + 1 - len(cs)):
-            dpows.append(_times(dpows[-1], ds, p))
+            dpows.append(_mul_raw(dpows[-1], ds, p))
         acc = []
         for k, c in enumerate(reversed(cs)):
-            acc = [x + c * y for x, y in zip_longest(_times(acc, ns, p), dpows[k], fillvalue=0)]
+            acc = [x + c * y for x, y in zip_longest(_mul_raw(acc, ns, p), dpows[k], fillvalue=0)]
             if p:
                 acc = [x % p for x in acc]
         acc = _mul_raw(acc, dpows[order + 1 - len(cs)], p)
         s = df * (dn * dd) ** order
         out.append(Polynomial._make(field, acc if p else [Fraction(c, s) for c in acc]))
     return out
-
-
-def _times(v, m, p):
-    """v * m for integer lists as _mul_raw gives it; a two-term m by two scalar multiply-adds per coefficient."""
-    if len(m) != 2 or not v:
-        return _mul_raw(v, m, p)
-    m0, m1 = m
-    out = [m0 * x + m1 * y for x, y in zip_longest(v, [0, *v], fillvalue=0)]
-    return [x % p for x in out] if p else out
 
 
 _SCREEN_PRIME = 2**31 - 1  # the largest prime below GF's cap

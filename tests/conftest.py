@@ -5,6 +5,7 @@ seeded random.Random instance created inside the test that uses it.
 """
 
 import importlib
+import json
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from corrforms import geometry, invariance
+from corrforms.cli import main
 from corrforms.errors import FieldMismatch, InseparableMap, WildInput
 from corrforms.field import QQ, GF, FpElement
 from corrforms.poly import Polynomial, SquarefreeDecomposition, _inverse, gcd_monic
@@ -39,6 +41,15 @@ def rf(num, den=None):
     if den is None:
         return RationalFunction.from_polynomial(num)
     return RationalFunction(num, den)
+
+
+def run_cli(capsys, tmp_path, command, doc):
+    """(exit code, stdout, stderr) of `corrforms <command>` on doc written to a file."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def random_poly(rng, field, degree, nonzero_lead=True, span=6):

@@ -505,6 +505,23 @@ def test_gen_caps_the_degree_before_computing(capsys, monkeypatch, argv):
     assert run_cli(capsys, "gen", *argv) == (2, "", "error: gen: deg sigma1 = 1025 must be at most 1024\n")
 
 
+@pytest.mark.parametrize("sigma", ["[]", '["0"]'], ids=["empty", "zero"])
+def test_gen_names_a_zero_sigma_under_a_negative_m(capsys, sigma):
+    # deg 0 = -inf, so m = -1 once made the capped degree +inf; the cap reads
+    # deg sigma as at least 0 and multiplicative_pair names the real fault
+    argv = ["gen", "multiplicative", "--m", "-1", "--h", "1", "--sigma", sigma]
+    assert run_cli(capsys, *argv) == (2, "", "error: gen multiplicative: sigma must be a nonconstant Polynomial\n")
+
+
+def test_gen_caps_the_default_sigma(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("gen computed a pair above the degree cap")
+
+    monkeypatch.setattr("corrforms.cli.multiplicative_pair", unreachable)
+    argv = ["gen", "multiplicative", "--m", "2000", "--h", "1"]
+    assert run_cli(capsys, *argv) == (2, "", "error: gen: deg sigma1 = 2000 must be at most 1024\n")
+
+
 TOO_HIGH = ["0"] * 1025 + ["1"]  # t^1025, one degree above the cap
 
 

@@ -138,14 +138,16 @@ def test_benchmark_tracer_finds_every_hooked_name():
     assert tracer.missing == []
 
 
-# one routine per job: Horner composition is poly._compose_over, a derivative
-# is Polynomial.derivative (the quotient rule on num and den), and a divisor's
-# multiplicities are read off Divisor.affine
+# one routine per job: Horner composition is poly._compose_over, a product of
+# integer lists is poly._mul_raw, a derivative is Polynomial.derivative (the
+# quotient rule on num and den), and a divisor's multiplicities are read off
+# Divisor.affine
 RETIRED = [
     ("poly", "compose_with_quotient"),
     ("ratfunc", "RationalFunction.derivative"),
     ("geometry", "Divisor.multiplicity_at"),
     ("poly", "_compose_raw"),
+    ("poly", "_times"),
 ]
 
 

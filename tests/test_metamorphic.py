@@ -26,7 +26,6 @@ from fractions import Fraction
 
 import pytest
 
-from corrforms.cli import main
 from corrforms.errors import WildInput
 from corrforms.field import GF, QQ
 from corrforms.geometry import DifferentialForm, RationalMap, is_tame
@@ -35,6 +34,8 @@ from corrforms.poly import Polynomial
 from corrforms.ratfunc import RationalFunction
 from corrforms.serialize import form_to_json, map_to_json, poly_to_json
 from corrforms.sweep import chebyshev, sweep
+
+from conftest import run_cli
 
 FIELDS = {"QQ": QQ, "GF7": GF(7), "GF101": GF(101), "GF2147483647": GF(2**31 - 1)}
 CHECK_KEYS = ("semi_invariant", "lambda", "divisor", "conductor")
@@ -77,14 +78,6 @@ def polynomial_pairs(rng, field):
 
 def field_json(field):
     return "Q" if field == QQ else {"Fp": field.characteristic}
-
-
-def run_cli(capsys, tmp_path, command, doc):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    code = main([command, str(path)])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def precomposed(sigma, inner):

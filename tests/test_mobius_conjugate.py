@@ -6,7 +6,10 @@ A and B over phi^{-1} = (d t - b)/(a - c t), and one combination of its two
 polynomials, (a A~ + b B~)/(c A~ + d B~), that takes no gcd.  Parity is with
 the body it replaced, two `RationalMap.compose` calls
 (`conftest.mobius_conjugate_by_compose`), coefficient for coefficient and
-type for type.
+type for type.  Its Horner products by phi^{-1}'s two-term lists go
+through `poly._mul_raw`, which multiplies any one- or two-term operand in
+with scalar multiply-adds and never packs it; two tests check that against
+a schoolbook product.
 """
 
 import random
@@ -141,12 +144,85 @@ def test_a_conjugation_takes_no_gcd(monkeypatch, field, affine):
         _same(out, mobius_conjugate_by_compose(sigma, phi))
 
 
+def _schoolbook(a, b, p):
+    """a * b for raw coefficient sequences, one product per pair of terms, reduced mod p when p > 0."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out] if p else out
+
+
 @pytest.mark.parametrize("p", [0, 7, 2**31 - 1], ids=["QQ", "GF7", "GF2147483647"])
-def test_two_term_factor_matches_the_packed_product(p):
-    # _times multiplies by a two-term list with two scalar multiply-adds per
-    # coefficient; it must give _mul_raw's list, zero entries and all
+def test_two_term_factor_matches_the_packed_product(monkeypatch, p):
+    # _mul_raw multiplies by an operand of one or two terms, in either
+    # position, with scalar multiply-adds and packs anything longer; both
+    # must give the schoolbook product, zero entries and empty operands included
     rng = random.Random(f"times:{p}")
+
+    def entry():
+        return rng.choice([0, rng.randrange(p) if p else rng.randint(-10**12, 10**12)])
+
+    packed = []
+    original = poly._kronecker_mul
+
+    def counted(*args, **kwargs):
+        packed.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "_kronecker_mul", counted)
     for _ in range(50):
-        v = [rng.randint(-9, 9) % p if p else rng.randint(-10**12, 10**12) for _ in range(rng.randint(0, 9))]
-        m = [rng.choice([0, rng.randint(-9, 9)]) % p if p else rng.randint(-9, 9), rng.randint(1, 9)]
-        assert poly._times(v, m, p) == _mul_raw(v, m, p)
+        v = [entry() for _ in range(rng.randint(0, 9))]
+        for m in ([entry()], [entry(), entry()], [entry(), rng.randint(1, 9)]):
+            assert _mul_raw(v, m, p) == _schoolbook(v, m, p)
+            assert _mul_raw(m, v, p) == _schoolbook(m, v, p)
+        assert _mul_raw(v, [], p) == _mul_raw([], v, p) == []
+    assert packed == []
+    # the control: a three-term operand against three or more terms still packs
+    for _ in range(20):
+        a = [entry(), entry(), rng.randint(1, 9)]
+        b = [entry() for _ in range(rng.randint(2, 8))] + [rng.randint(1, 9)]
+        assert _mul_raw(a, b, p) == _schoolbook(a, b, p)
+        assert _mul_raw(b, a, p) == _schoolbook(b, a, p)
+    assert len(packed) == 40
+
+
+@pytest.mark.parametrize("affine", [True, False], ids=["affine", "non_affine"])
+def test_short_operands_never_pack(monkeypatch, affine):
+    # a one- or two-term operand never reaches _kronecker_mul: not in _mul_raw,
+    # not in a product by a linear factor, and not in a conjugation whose
+    # Horner pass multiplies only by phi^{-1}'s two-term lists and pads by at
+    # most two terms (deg B in {0, 1, n - 1, n})
+    rng = random.Random(f"short operands:{affine}")
+    raw = []
+    for p in (0, 7, 2**31 - 1):
+        for _ in range(10):
+            v = [rng.randrange(p) if p else rng.randint(-10**12, 10**12) for _ in range(rng.randint(1, 12))]
+            m = [rng.randrange(p) if p else rng.randint(-9, 9) for _ in range(rng.randint(1, 2))]
+            raw.append((v, m, p))
+    linear = []
+    for field in (QQ, GF(7)):
+        for _ in range(10):
+            f = random_poly(rng, field, rng.randint(0, 12))
+            linear.append((f, Polynomial(field, [_scalar(rng, field), rng.randint(1, 6)])))
+    maps = [
+        (_sigma(rng, field, 40, deg_b), _mobius(rng, field, affine))
+        for field in (QQ, GF(7))
+        for deg_b in (0, 1, 39, 40)
+    ]
+    want = [mobius_conjugate_by_compose(sigma, phi) for sigma, phi in maps]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one- or two-term operand was packed")
+
+    monkeypatch.setattr(poly, "_kronecker_mul", refuse)
+    for v, m, p in raw:
+        assert _mul_raw(v, m, p) == _mul_raw(m, v, p) == _schoolbook(v, m, p)
+    for f, g in linear:
+        want_product = Polynomial(f.field, _schoolbook(f.coeffs, g.coeffs, f.field.characteristic))
+        for got in (f * g, g * f):
+            assert got.coeffs == want_product.coeffs
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want_product.coeffs]
+    assert max(sigma.degree for sigma, _ in maps) == 40
+    for (sigma, phi), expected in zip(maps, want):
+        _same(mobius_conjugate(sigma, phi), expected)

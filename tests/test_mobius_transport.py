@@ -36,15 +36,9 @@ from corrforms.serialize import (
 )
 from corrforms.sweep import chebyshev
 
+from conftest import run_cli
+
 FIELDS = {"QQ": QQ, "GF7": GF(7), "GF101": GF(101), "GF2147483647": GF(2**31 - 1)}
-
-
-def run_cli(capsys, tmp_path, command, doc):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    code = main([command, str(path)])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def detect_by_conjugation(doc):
