@@ -161,8 +161,8 @@ def cmd_detect(args):
 
     Conjugation by phi(t) = alpha t + beta keeps polynomial maps polynomial and
     moves the unique flat answer by phi, so the given pair is solved on its own
-    coefficients and only the parameters move.  With c != 0 the conjugated
-    maps are rational, and _solve names the mobius in the refusal.
+    coefficients and only the parameters move.  With c != 0 doc.corr is solved,
+    and _solve names the mobius when it refuses rational conjugated maps.
     """
     _emit(group_report_to_json(_detect(_load_document(args.file))))
 
@@ -170,12 +170,7 @@ def cmd_detect(args):
 def _detect(doc):
     if doc.mobius is not None and doc.mobius.c:
         return _solve(doc, find_primitive)
-    return _given_pair_first(doc, _found_and_moved)
-
-
-def _found_and_moved(corr, phi):
-    report = find_primitive(corr)
-    return report if phi is None else _moved_by_affine(report, phi)
+    return _given_pair_first(doc, lambda corr, phi: _moved_by_affine(find_primitive(corr), phi))
 
 
 def cmd_sweep(args):

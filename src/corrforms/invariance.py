@@ -289,14 +289,14 @@ def find_primitive(corr):
 
 
 def _moved_by_affine(report, phi):
-    """find_primitive's report for (sigma1, sigma2), moved to (phi sigma_i phi^{-1}).
+    """find_primitive's report for (sigma1, sigma2), moved to (phi sigma_i phi^{-1}); as it is when phi is None.
 
     phi(t) = alpha t + beta with alpha = a/d, beta = b/d (c = 0).  The primitive
     moves to (phi^{-1})^* omega: a' = alpha a + beta at weight 1, and at weight 2
     s' = alpha s + 2 beta, q' = alpha^2 q + alpha beta s + beta^2.  lambda, the
     weight, the status and complete stay, since the solvers' answer is unique.
     """
-    if report.status != "cyclic":
+    if phi is None or report.status != "cyclic":
         return report
     field, alpha, beta = phi.field, phi.a / phi.d, phi.b / phi.d
     if report.weight == 1:

@@ -6,14 +6,15 @@ anywhere in this package: closed points are represented by monic squarefree
 polynomials, and Yun's algorithm supplies the squarefree decomposition.
 
 Storage contract: ``coeffs`` holds the field's raw values (see field.py),
-Fractions over Q and plain int residues in [0, p) over F_p.  Both fields
-multiply through the one integer product ``_mul_raw``, which alone chooses
-how to multiply: F_p on the residues, then ``% p``; Q on the numerators over
-one common denominator, then back to Fractions.  Every composition, of
+Fractions over Q and plain int residues in [0, p) over F_p.  One function
+clears them to an integer vector over one denominator, ``_integer_parts``
+(residues are their own vector, over 1), and one builds them back,
+``_stored``.  Both fields multiply through the one integer product
+``_mul_raw``, which alone chooses how to multiply.  Every composition, of
 polynomials, rational functions or a Mobius conjugation, is one Horner's
 rule on those integer lists, ``_compose_over``, which builds the powers of
 the inner denominator once for all outer polynomials and converts each
-result once, at the end.  Division is one schoolbook kernel for both fields,
+result once, at the end.  Division is one schoolbook loop for both fields,
 which also divides integer vectors exactly; ``monic`` and ratfunc.py invert
 raw scalars through ``_inverse``.  The public scalar FpElement appears only
 where a value leaves a polynomial: ``leading``, ``coefficient`` and
@@ -122,12 +123,9 @@ def _mul_raw(a, b, p):
     return [c % p for c in out] if p else out
 
 
-def _mul_qq(a, b):
-    """Product of Fraction sequences, as one _mul_raw product of their numerators."""
-    na, da = _integer_parts(a)
-    nb, db = (na, da) if b is a else _integer_parts(b)
-    d = da * db
-    return [Fraction(c, d) for c in _mul_raw(na, nb, 0)]
+def _stored(cs, d, p):
+    """Stored coefficients of the integer vector cs over d: the residues themselves when p > 0, else Fraction(c, d)."""
+    return cs if p else [Fraction(c, d) for c in cs]
 
 
 def _inverse(r, p):
@@ -143,8 +141,6 @@ def _divmod_raw(a, b, p):
     remainder.  Over Q it also takes integer sequences whose quotient the
     caller knows to be integral, as for a primitive divisor (Gauss's lemma);
     each quotient coefficient is then an exact floor division by the lead.
-    A two-term quotient, the usual Euclid step, is read off the top
-    coefficients and the remainder is built in one pass.
     """
     dv = len(b) - 1
     n = len(a) - dv
@@ -163,10 +159,6 @@ def _divmod_raw(a, b, p):
 
         def top(x):
             return x * inv
-    if n == 2 and dv:
-        hi = top(a[-1])
-        lo = top(a[-2] - hi * b[-2])
-        return [lo, hi], [x - lo * y - hi * z for x, y, z in zip(a[:dv], b, (0, *b))]
     quot, rem = [0] * n, list(a)
     for k in range(n - 1, -1, -1):
         c = quot[k] = top(rem[k + dv])
@@ -305,7 +297,9 @@ class Polynomial:
         if b == (1,):
             return self
         p = self.field.characteristic
-        return Polynomial._make(self.field, _mul_raw(a, b, p) if p else _mul_qq(a, b))
+        na, da = _integer_parts(a)
+        nb, db = (na, da) if b is a else _integer_parts(b)
+        return Polynomial._make(self.field, _stored(_mul_raw(na, nb, p), da * db, p))
 
     __rmul__ = __mul__
 
@@ -406,9 +400,9 @@ def _compose_over(num, den, pairs):
 
     Each poly = F/d_F and the inner map are cleared to integers: over Q, for
     num = N/d_N and den = D/d_D, the loop runs at (N d_D)/(D d_N) on integer
-    vectors L, and the result is L / (d_F (d_N d_D)**order), one Fraction per
-    coefficient; over F_p L holds the residues.  The powers of D are built
-    once, for every pair.  Every product is one _mul_raw call.
+    vectors L, and the result is _stored(L, d_F (d_N d_D)**order); over F_p
+    L holds the residues.  The powers of D are built once, for every pair.
+    Every product is one _mul_raw call.
     """
     field = num.field
     p = field.characteristic
@@ -429,8 +423,7 @@ def _compose_over(num, den, pairs):
             if p:
                 acc = [x % p for x in acc]
         acc = _mul_raw(acc, dpows[order + 1 - len(cs)], p)
-        s = df * (dn * dd) ** order
-        out.append(Polynomial._make(field, acc if p else [Fraction(c, s) for c in acc]))
+        out.append(Polynomial._make(field, _stored(acc, df * (dn * dd) ** order, p)))
     return out
 
 
@@ -558,7 +551,7 @@ def squarefree_decompose(a):
     p = field.characteristic
 
     def gcd(x, y):
-        g = gcd_monic(*(Polynomial._make(field, cs if p else [Fraction(c) for c in cs]) for cs in (x, y)))
+        g = gcd_monic(*(Polynomial._make(field, _stored(cs, 1, p)) for cs in (x, y)))
         return g.coeffs if p else _integer_parts(g.coeffs)[0]
 
     def reduced(cs):
@@ -583,7 +576,7 @@ def squarefree_decompose(a):
         d = reduced([x - y for x, y in zip_longest(d, derivative(c), fillvalue=0)])
         ak = gcd(c, d) if d else c  # c is normalized
         if len(ak) > 1:
-            parts.append((ak if p else [Fraction(x, ak[-1]) for x in ak], k))
+            parts.append((_stored(ak, ak[-1], p), k))
             c, d = _divmod_raw(c, ak, p)[0], _divmod_raw(d, ak, p)[0]
         k += 1
     dec = SquarefreeDecomposition(unit, tuple((Polynomial._make(field, part), k) for part, k in parts))

@@ -877,6 +877,37 @@ def test_decompose_of_a_mobius_document_prints_its_pinned_output(tmp_path, capsy
     assert run_cli(capsys, "decompose", write_doc(tmp_path, "doc.json", doc)) == (0, expected, "")
 
 
+# phi = 1/t has c != 0, yet phi t^n phi^{-1} = t^n: the conjugate of a polynomial
+# sigma of degree n stays polynomial exactly when sigma - e = lambda (t - e)^n at
+# e = phi^{-1}(infinity) = -d/c, here 0
+INVERSION_PAIR = {"sigma1": ["0", "0", "0", "1"], "sigma2": ["0", "0", "1"], "mobius": {"a": "0", "b": "1", "c": "1", "d": "0"}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, expected",
+    [
+        ("detect", INVERSION_PAIR,
+         '{"status": "cyclic", "weight": 1, "lambda": "3/2", "form": {"a": "0"}, "flatness": "weight1", "complete": false}\n'),
+        ("detect", {**INVERSION_PAIR, "field": {"Fp": 7}},
+         '{"status": "cyclic", "weight": 1, "lambda": "5", "form": {"a": "0"}, "flatness": "weight1", "complete": false}\n'),
+        ("decompose", INVERSION_PAIR, '{"sigma": ["0", "1"], "m": 3, "h": 2, "lambda1": "1", "lambda2": "1"}\n'),
+    ],
+    ids=["detect_QQ", "detect_GF7", "decompose"],
+)
+def test_a_c_nonzero_mobius_that_keeps_the_maps_polynomial_is_solved(tmp_path, capsys, command, doc, expected):
+    assert run_cli(capsys, command, write_doc(tmp_path, "doc.json", doc)) == (0, expected, "")
+
+
+def test_a_c_nonzero_mobius_that_makes_a_map_rational_is_refused(tmp_path, capsys):
+    # phi (t^3 + 1) phi^{-1} = t^3 / (t^3 + 1), since t^3 + 1 - 0 is no multiple of t^3
+    doc = {**INVERSION_PAIR, "sigma1": ["1", "0", "0", "1"]}
+    message = (
+        'error: mobius: c != 0 makes the maps rational, and flat-form solvers need polynomial maps;'
+        ' solve the pair without "mobius"\n'
+    )
+    assert run_cli(capsys, "detect", write_doc(tmp_path, "doc.json", doc)) == (3, "", message)
+
+
 @pytest.mark.parametrize("doc", [CHEB_SHIFTED, CHEB_SHIFTED_GF7], ids=["QQ", "GF7"])
 def test_detect_on_an_affine_mobius_document_conjugates_nothing(tmp_path, capsys, monkeypatch, doc):
     # the given pair is solved and its answer moved by phi; check decides it against phi^* omega

@@ -3,7 +3,8 @@ module-level helper has a caller, no module-level function or class is
 defined in two modules, no module imports process, thread or subprocess
 machinery, importing the package loads no process pool and neither
 dataclasses nor inspect, every name the benchmark's tracer hooks still
-exists, and the retired second entry points stay retired.
+exists, the retired second entry points stay retired, and poly.py builds
+and clears the Q coefficient format in one function each.
 
 The package's __init__ is exempt from the import check: it imports names
 to re-export them.
@@ -139,15 +140,18 @@ def test_benchmark_tracer_finds_every_hooked_name():
 
 
 # one routine per job: Horner composition is poly._compose_over, a product of
-# integer lists is poly._mul_raw, a derivative is Polynomial.derivative (the
-# quotient rule on num and den), and a divisor's multiplicities are read off
-# Divisor.affine
+# integer lists is poly._mul_raw (Polynomial.__mul__ calls it in both fields),
+# a derivative is Polynomial.derivative (the quotient rule on num and den), a
+# divisor's multiplicities are read off Divisor.affine, and detect moves its
+# answer by invariance._moved_by_affine
 RETIRED = [
     ("poly", "compose_with_quotient"),
     ("ratfunc", "RationalFunction.derivative"),
     ("geometry", "Divisor.multiplicity_at"),
     ("poly", "_compose_raw"),
     ("poly", "_times"),
+    ("poly", "_mul_qq"),
+    ("cli", "_found_and_moved"),
 ]
 
 
@@ -158,3 +162,16 @@ def test_retired_second_entry_points_are_gone(module, name):
     for owner in owners:
         obj = getattr(obj, owner)
     assert not hasattr(obj, last), f"corrforms.{module}.{name} is back"
+
+
+def test_poly_builds_and_clears_fractions_in_one_function_each():
+    # the Q coefficient format is built from integer vectors only in _stored
+    # and cleared to them only in _integer_parts
+    places = {"Fraction": set(), "numerator": set(), "denominator": set()}
+    for top in PACKAGE_TREES["poly.py"].body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction":
+                places["Fraction"].add(getattr(top, "name", None))
+            elif isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+                places[node.attr].add(getattr(top, "name", None))
+    assert places == {"Fraction": {"_stored"}, "numerator": {"_integer_parts"}, "denominator": {"_integer_parts"}}
